@@ -114,8 +114,8 @@ def inverter_chain(
         j = np.zeros((m, m))
         np.fill_diagonal(j, -1.0 - gamma_stiff * 2.0 * b)
         dg_dy = 2.0 * a - 2.0 * b
-        for i in range(1, m):
-            j[i, i - 1] = -gamma_stiff * dg_dy[i]
+        i = np.arange(1, m)
+        j[i, i - 1] = -gamma_stiff * dg_dy[1:]
         return j
 
     y0 = np.full(m, 5.0)
@@ -127,7 +127,9 @@ def inverter_chain(
         h0=h0,
         newton=NewtonConfig(),
     )
-    problem = OdeProblem(m=m, rhs=rhs, jacobian=jac, name=f"inverter_chain_m{m}")
+    # each inverter is driven by its upstream neighbour only
+    problem = OdeProblem(m=m, rhs=rhs, jacobian=jac, name=f"inverter_chain_m{m}",
+                         bandwidth=(min(1, m - 1), 0))
     return BenchmarkPreset(
         name="inverter_chain", problem=problem, y0=y0, t0=0.0, t_end=t_end,
         config=cfg, reference_kind="radau",
@@ -191,7 +193,8 @@ def reaction_diffusion(
         h0=h0,
         newton=NewtonConfig(),
     )
-    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"reaction_diffusion_n{n_cells}")
+    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"reaction_diffusion_n{n_cells}",
+                         bandwidth=(1, 1))
     return BenchmarkPreset(
         name="reaction_diffusion", problem=problem, y0=y0, t0=0.0, t_end=t_end,
         config=cfg, reference_kind="radau", dx=dx,
@@ -253,6 +256,7 @@ def linear_advection(
         h0=h0,
         newton=NewtonConfig(),
     )
+    # no bandwidth: the periodic inflow puts an entry in the corner J[0, n-1]
     problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"advection_n{n_cells}")
     return BenchmarkPreset(
         name="advection", problem=problem, y0=y0, t0=0.0, t_end=t_end,
@@ -339,7 +343,8 @@ def burgers_riemann(
         h0=h0,
         newton=NewtonConfig(tolerance=1e-8),
     )
-    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"burgers_n{n_cells}")
+    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"burgers_n{n_cells}",
+                         bandwidth=(1, 1))
     return BenchmarkPreset(
         name="burgers", problem=problem, y0=y0, t0=0.0, t_end=t_end,
         config=cfg, exact_solution=exact, reference_kind="explicit", dx=dx,

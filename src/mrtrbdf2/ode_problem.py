@@ -2,10 +2,11 @@
 subsystem evaluation.
 
 An :class:`OdeProblem` packages the right-hand side f(t, y) of y' = f(t, y)
-together with an optional analytic Jacobian.  An :class:`ActivePartition`
-names a subset of components; evaluating the subsystem obtained by freezing
-the complementary (latent) components is a scatter / full evaluation / gather
-round trip, so no reduced right-hand side ever has to be written by hand.
+together with an optional analytic Jacobian and an optional declared Jacobian
+bandwidth.  An :class:`ActivePartition` names a subset of components;
+evaluating the subsystem obtained by freezing the complementary (latent)
+components is a scatter / full evaluation / gather round trip, so no reduced
+right-hand side ever has to be written by hand.
 
 Scalar function-evaluation accounting: a full right-hand-side call costs m
 scalar evaluations, a subsystem call costs |active|.  Counters are owned by a
@@ -14,11 +15,13 @@ single integration run (see :class:`EvalCounter`), never by the problem.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dense_linalg import band_storage
 from .errors import DimensionMismatch, NonFiniteOutput
 
 # Forward finite-difference increment scale: sqrt of unit roundoff.
@@ -110,12 +113,30 @@ class EvalCounter:
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """Right-hand side f(t, y) with dimension m and optional analytic Jacobian."""
+    """Right-hand side f(t, y) with dimension m and optional analytic Jacobian.
+
+    ``bandwidth = (kl, ku)`` declares that ∂f_i/∂y_j vanishes unless
+    −ku ≤ i − j ≤ kl at every state.  Subsystem Jacobians then come in band
+    storage and Newton matrices are factored banded; ``jacobian`` still
+    returns the dense m×m array.
+    """
 
     m: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     name: str = ""
+    bandwidth: Optional[Tuple[int, int]] = None
+
+    def __post_init__(self) -> None:
+        if self.bandwidth is None:
+            return
+        try:
+            kl, ku = (operator.index(v) for v in self.bandwidth)
+        except (TypeError, ValueError):
+            raise ValueError(f"bandwidth must be an integer pair (kl, ku), got {self.bandwidth!r}") from None
+        if not (0 <= kl < self.m and 0 <= ku < self.m):
+            raise ValueError(f"bandwidth {self.bandwidth} needs 0 <= kl, ku < m = {self.m}")
+        object.__setattr__(self, "bandwidth", (kl, ku))
 
 
 def _call_rhs(p: OdeProblem, t: float, y: np.ndarray) -> np.ndarray:
@@ -201,15 +222,17 @@ def subsystem_jacobian(
 
     The latent components are held fixed, so this equals the Jacobian of the
     frozen subsystem.  With an analytic Jacobian the block is sliced out; with
-    finite differences only the active columns are formed.
+    finite differences only the active columns are formed.  When the problem
+    declares a bandwidth the block comes in band storage
+    (:func:`~.dense_linalg.band_storage`) with the same (kl, ku).
     """
     y = np.asarray(y, dtype=float)
     idx = part.indices
     if p.jacobian is not None:
         jac = eval_jacobian(p, t, y, counter)
+        if p.bandwidth is not None:
+            return band_storage(jac, p.bandwidth, idx)
         return jac[np.ix_(idx, idx)]
-    if part.is_empty:
-        return np.empty((0, 0))
     f0 = _call_rhs(p, t, y)
     if counter is not None:
         counter.add(part.size)
@@ -224,4 +247,6 @@ def subsystem_jacobian(
         block[:, col] = (fp[idx] - f0[idx]) / eps
     if not np.all(np.isfinite(block)):
         raise NonFiniteOutput(f"subsystem jacobian non-finite at t={t}")
+    if p.bandwidth is not None:
+        return band_storage(block, p.bandwidth)
     return block

@@ -90,7 +90,6 @@ class StepResult:
     eps_raw: np.ndarray
     eps_mod: np.ndarray
     newton_iterations: Tuple[int, int]
-    jacobian: np.ndarray
 
 
 def stability_function(z: complex) -> complex:
@@ -134,6 +133,17 @@ def modified_error_estimate(
     n = jac.shape[0]
     lu = lu_factor(np.eye(n) - (d * h) * jac)
     return lu_solve(lu, np.asarray(eps_raw, dtype=float))
+
+
+def _factor_newton_matrix(
+    jac: np.ndarray, h: float, band: Optional[Tuple[int, int]]
+) -> LuFactorization:
+    """Factor I − d·h·J; ``jac`` is in band storage when ``band`` is given."""
+    if band is None:
+        return lu_factor(np.eye(jac.shape[0]) - (D_STAGE * h) * jac)
+    a = (-D_STAGE * h) * jac
+    a[band[1]] += 1.0  # the main diagonal sits in row ku of band storage
+    return lu_factor(a, band=band)
 
 
 def _newton_stage(
@@ -194,7 +204,8 @@ def step(
     step); when absent it is computed.
 
     Both implicit stages share one LU factorization of (I − d·h·J), with the
-    Jacobian frozen at the step start.  Raises :class:`NewtonDivergence`
+    Jacobian frozen at the step start; it is factored in band storage when
+    the problem declares a Jacobian bandwidth.  Raises :class:`NewtonDivergence`
     when an iteration stalls; the caller is expected to reduce h and retry.
     """
     if cfg is None:
@@ -227,8 +238,7 @@ def step(
         raise DimensionMismatch("z_in has the wrong shape")
 
     jac = subsystem_jacobian(problem, t, part.scatter(u, context(t)), part, counter)
-    eye = np.eye(part.size)
-    lu = lu_factor(eye - (D_STAGE * h) * jac)
+    lu = _factor_newton_matrix(jac, h, problem.bandwidth)
 
     # Trapezoidal stage to t + γh, started from the incoming stage derivative.
     z_gamma, it_tr = _newton_stage(f_sub, lu, t + GAMMA * h, u + D_STAGE * z_n, z_n, h, cfg)
@@ -239,7 +249,7 @@ def step(
         jac2 = subsystem_jacobian(
             problem, t + GAMMA * h, part.scatter(u_gamma, context(t + GAMMA * h)), part, counter
         )
-        lu2 = lu_factor(eye - (D_STAGE * h) * jac2)
+        lu2 = _factor_newton_matrix(jac2, h, problem.bandwidth)
 
     # BDF2 stage to t + h, started from the trapezoidal stage derivative.
     base2 = u + W_STAGE * z_n + W_STAGE * z_gamma
@@ -257,5 +267,4 @@ def step(
         eps_raw=eps_raw,
         eps_mod=eps_mod,
         newton_iterations=(it_tr, it_bdf),
-        jacobian=jac,
     )

@@ -63,6 +63,65 @@ def test_reaction_diffusion_jacobian_is_tridiagonal():
     assert np.max(far) <= 1e-12
 
 
+def test_inverter_jacobian_equals_the_loop_form_bitwise():
+    # reference: the per-row loop the indexed assignment replaced
+    m, g, u = 30, 100.0, 1.0
+    preset = inverter_chain(m=m, gamma_stiff=g, u_thresh=u)
+    rng = np.random.default_rng(5)
+    for t in (0.0, 7.5, 12.0, 16.0):
+        y = rng.uniform(0.0, 5.0, size=m)
+        drive = np.concatenate(([input_signal(t)], y[:-1]))
+        b = np.maximum(drive - y - u, 0.0)
+        dg_dy = 2.0 * np.maximum(drive - u, 0.0) - 2.0 * b
+        ref = np.zeros((m, m))
+        np.fill_diagonal(ref, -1.0 - g * 2.0 * b)
+        for i in range(1, m):
+            ref[i, i - 1] = -g * dg_dy[i]
+        assert preset.problem.jacobian(t, y).tobytes() == ref.tobytes()
+
+
+def _outside_band(j, kl, ku):
+    i, k = np.indices(j.shape)
+    return j[(i - k > kl) | (k - i > ku)]
+
+
+@pytest.mark.parametrize("factory,states", [
+    (lambda: inverter_chain(m=40), lambda y0, rng: rng.uniform(0.0, 5.0, size=y0.size)),
+    (lambda: reaction_diffusion(n_cells=30), lambda y0, rng: rng.uniform(-0.2, 1.2, size=y0.size)),
+    (lambda: burgers_riemann(n_cells=30), lambda y0, rng: rng.uniform(-1.0, 1.5, size=y0.size)),
+    (lambda: burgers_riemann(n_cells=30, u_left=0.0, u_right=1.0), lambda y0, rng: rng.normal(size=y0.size)),
+])
+def test_declared_bandwidth_covers_the_jacobian(factory, states):
+    # a declaration narrower than the Jacobian would silently drop entries
+    # from the Newton matrix
+    preset = factory()
+    p = preset.problem
+    kl, ku = p.bandwidth
+    p_plain = OdeProblem(m=p.m, rhs=p.rhs)
+    rng = np.random.default_rng(41)
+    ys = [states(preset.y0, rng) for _ in range(5)]
+    if "u_thresh" in preset.params:
+        # inverter states on both sides of the gate threshold
+        u = preset.params["u_thresh"]
+        assert all(np.any(y < u) and np.any(y > u) for y in ys)
+    used = np.zeros(kl + ku + 1, dtype=bool)
+    for t in (0.0, 7.5, 12.0, 16.0):
+        for y in [preset.y0.astype(float)] + ys:
+            j = eval_jacobian(p, t, y)
+            assert not np.any(_outside_band(j, kl, ku))
+            assert not np.any(_outside_band(eval_jacobian(p_plain, t, y), kl, ku))
+            used |= [np.any(np.diagonal(j, -k)) for k in range(-ku, kl + 1)]
+    # and no wider than the stencil: every declared diagonal is used
+    assert np.all(used)
+
+
+def test_advection_declares_no_bandwidth():
+    # the periodic inflow couples cell 0 to cell n-1
+    preset = linear_advection(n_cells=16)
+    assert preset.problem.bandwidth is None
+    assert eval_jacobian(preset.problem, 0.0, preset.y0)[0, -1] != 0.0
+
+
 def test_reaction_diffusion_steady_states():
     preset = reaction_diffusion(n_cells=30)
     for value in (0.0, 1.0):

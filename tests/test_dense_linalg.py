@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mrtrbdf2.dense_linalg import lu_factor, lu_solve, matrix_norm, spectral_radius
+from mrtrbdf2.dense_linalg import band_storage, lu_factor, lu_solve, matrix_norm, spectral_radius
 from mrtrbdf2.errors import DimensionMismatch, SingularMatrix
 
 
@@ -114,3 +115,88 @@ def test_two_norm_matches_gram_radius():
         a = rng.normal(size=(5, 5))
         n2 = matrix_norm(a, "two")
         assert n2 == pytest.approx(np.sqrt(spectral_radius(a.T @ a)), rel=1e-8)
+
+
+BANDS = [(1, 0), (0, 1), (1, 1), (2, 1)]
+
+
+def to_band(a, kl, ku):
+    """Band storage by the definition: row ku + i - j of column j holds a[i, j]."""
+    n = a.shape[0]
+    ab = np.zeros((kl + ku + 1, n))
+    for j in range(n):
+        for i in range(max(0, j - ku), min(n, j + kl + 1)):
+            ab[ku + i - j, j] = a[i, j]
+    return ab
+
+
+def random_banded(rng, n, kl, ku):
+    a = rng.normal(size=(n, n))
+    i, j = np.indices((n, n))
+    a[(i - j > kl) | (j - i > ku)] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("kl,ku", BANDS)
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_band_lu_matches_dense_solve(kl, ku, n):
+    rng = np.random.default_rng(100 * n + 10 * kl + ku)
+    a = random_banded(rng, n, kl, ku) + 3.0 * np.eye(n)
+    ab = band_storage(a, (kl, ku))
+    assert np.array_equal(ab, to_band(a, kl, ku))
+    f = lu_factor(ab, band=(kl, ku))
+    assert f.band == (kl, ku) and f.n == n
+    b = rng.normal(size=n)
+    x = lu_solve(f, b)
+    assert x.shape == (n,)
+    assert np.max(np.abs(x - np.linalg.solve(a, b))) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+    bb = rng.normal(size=(n, 3))
+    xx = lu_solve(f, bb)
+    assert xx.shape == (n, 3)
+    assert np.max(np.abs(xx - np.linalg.solve(a, bb))) <= 1e-12 * max(1.0, np.max(np.abs(xx)))
+
+
+@pytest.mark.parametrize("kl,ku", [(1, 1), (2, 1)])
+def test_band_lu_pivots_rows(kl, ku):
+    # a zero main diagonal forces row interchanges at every step
+    rng = np.random.default_rng(5)
+    n = 12
+    a = random_banded(rng, n, kl, ku) + 4.0 * np.eye(n, k=-1)
+    np.fill_diagonal(a, 0.0)
+    f = lu_factor(band_storage(a, (kl, ku)), band=(kl, ku))
+    assert np.any(f.pivots != np.arange(n))
+    b = rng.normal(size=n)
+    x = lu_solve(f, b)
+    assert np.max(np.abs(a @ x - b)) <= 1e-12 * np.max(np.abs(b))
+    assert np.allclose(x, scipy.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
+
+
+def test_band_lu_singular_detection():
+    for kl, ku in BANDS:
+        with pytest.raises(SingularMatrix):
+            lu_factor(np.zeros((kl + ku + 1, 4)), band=(kl, ku))
+    # tridiagonal with two equal rows
+    a = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(SingularMatrix):
+        lu_factor(band_storage(a, (1, 1)), band=(1, 1))
+    with pytest.raises(SingularMatrix):
+        lu_factor(a)
+
+
+def test_band_lu_rejects_non_finite_and_bad_shapes():
+    ab = band_storage(np.eye(3), (1, 1))
+    ab[1, 1] = np.nan
+    with pytest.raises(ValueError):
+        lu_factor(ab, band=(1, 1))
+    ab[1, 1] = np.inf
+    with pytest.raises(ValueError):
+        lu_factor(ab, band=(1, 1))
+    with pytest.raises(DimensionMismatch):
+        lu_factor(np.ones((2, 3)), band=(1, 1))  # (1, 1) needs 3 rows
+    with pytest.raises(DimensionMismatch):
+        lu_factor(np.ones((3, 0)), band=(1, 1))
+    with pytest.raises(ValueError):
+        lu_factor(np.ones((1, 3)), band=(-1, 1))
+    f = lu_factor(band_storage(np.eye(3), (1, 1)), band=(1, 1))
+    with pytest.raises(DimensionMismatch):
+        lu_solve(f, np.ones(4))

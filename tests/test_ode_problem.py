@@ -153,3 +153,58 @@ def test_subsystem_jacobian_fd_matches_block():
     part = ActivePartition(5, [1, 2, 4])
     got = subsystem_jacobian(p, 0.0, rng.normal(size=5), part)
     assert np.max(np.abs(got - a[np.ix_([1, 2, 4], [1, 2, 4])])) <= 1e-6
+
+
+def from_band(ab, kl, ku):
+    """Dense matrix from band storage: a[i, j] = ab[ku + i - j, j] inside the band."""
+    n = ab.shape[1]
+    a = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - ku), min(n, j + kl + 1)):
+            a[i, j] = ab[ku + i - j, j]
+    return a
+
+
+def banded_problem(rng, m, kl, ku, analytic=True):
+    a = rng.normal(size=(m, m))
+    i, j = np.indices((m, m))
+    a[(i - j > kl) | (j - i > ku)] = 0.0
+    jac = (lambda t, y: a) if analytic else None
+    return a, OdeProblem(m=m, rhs=lambda t, y: a @ y, jacobian=jac, bandwidth=(kl, ku))
+
+
+@pytest.mark.parametrize("kl,ku", [(1, 0), (0, 1), (1, 1), (2, 1)])
+def test_subsystem_jacobian_band_block_matches_dense_block(kl, ku):
+    rng = np.random.default_rng(31 + 10 * kl + ku)
+    m = 12
+    a, p = banded_problem(rng, m, kl, ku)
+    subsets = [[], list(range(m))]
+    subsets += [sorted(rng.choice(m, size=k, replace=False)) for k in (1, 2, 5, 9) for _ in range(3)]
+    for idx in subsets:
+        ab = subsystem_jacobian(p, 0.0, rng.normal(size=m), ActivePartition(m, idx))
+        n = len(idx)
+        assert ab.shape == (kl + ku + 1, n)
+        assert np.array_equal(from_band(ab, kl, ku), a[np.ix_(idx, idx)])
+        # storage entries outside the block stay zero
+        assert np.count_nonzero(ab) == np.count_nonzero(a[np.ix_(idx, idx)])
+
+
+def test_subsystem_jacobian_band_block_from_finite_differences():
+    rng = np.random.default_rng(23)
+    a, p = banded_problem(rng, 7, 1, 1, analytic=False)
+    for idx in ([], [0, 1, 2, 3, 4, 5, 6], [1, 2, 5]):
+        ab = subsystem_jacobian(p, 0.0, rng.normal(size=7), ActivePartition(7, idx))
+        assert ab.shape == (3, len(idx))
+        assert np.max(np.abs(from_band(ab, 1, 1) - a[np.ix_(idx, idx)]), initial=0.0) <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (3, 0), (0, 3), (1,), (1, 1, 1), (1.5, 0), 1, "11"])
+def test_bad_bandwidth_rejected(bad):
+    with pytest.raises(ValueError):
+        OdeProblem(m=3, rhs=lambda t, y: y, bandwidth=bad)
+
+
+def test_bandwidth_accepts_integer_pairs():
+    assert OdeProblem(m=3, rhs=lambda t, y: y, bandwidth=[np.int64(2), 0]).bandwidth == (2, 0)
+    assert OdeProblem(m=1, rhs=lambda t, y: y, bandwidth=(0, 0)).bandwidth == (0, 0)
+    assert OdeProblem(m=3, rhs=lambda t, y: y).bandwidth is None

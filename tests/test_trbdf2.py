@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mrtrbdf2.errors import NewtonDivergence, PoleEncountered
-from mrtrbdf2.ode_problem import OdeProblem
+from mrtrbdf2.ode_problem import ActivePartition, OdeProblem
 from mrtrbdf2.trbdf2 import (
     COEFFS,
     D_STAGE,
@@ -155,9 +156,36 @@ def test_modified_estimate_solves_shifted_system():
     p = OdeProblem(m=4, rhs=lambda t, y: a @ y, jacobian=lambda t, y: a)
     h = 0.3
     res = step(p, 0.0, rng.normal(size=4), h, cfg=TIGHT)
-    lhs = (np.eye(4) - D_STAGE * h * res.jacobian) @ res.eps_mod
+    lhs = (np.eye(4) - D_STAGE * h * a) @ res.eps_mod
     denom = max(np.max(np.abs(res.eps_raw)), 1e-300)
     assert np.max(np.abs(lhs - res.eps_raw)) / denom <= 1e-10
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("active", [None, [2], [0, 3, 4, 7]])
+def test_banded_newton_matrix_matches_dense(reuse, active):
+    # a stiff nonlinear tridiagonal system: the banded factorization of
+    # I - d*h*J must give the step of the dense one, full and on subsystems
+    m = 8
+    lap = np.diag(np.full(m, -2.0)) + np.eye(m, k=1) + np.eye(m, k=-1)
+
+    def rhs(t, y):
+        return 50.0 * lap @ y - y ** 3
+
+    def jac(t, y):
+        return 50.0 * lap - np.diag(3.0 * y ** 2)
+
+    dense = OdeProblem(m=m, rhs=rhs, jacobian=jac)
+    banded = replace(dense, bandwidth=(1, 1))
+    y = np.linspace(0.2, 1.0, m)
+    part = None if active is None else ActivePartition(m, active)
+    u = y if part is None else y[part.indices]
+    cfg = NewtonConfig(tolerance=1e-12, max_iterations=50, jacobian_reuse=reuse)
+    ref = step(dense, 0.0, u, 0.05, part=part, frozen=y, cfg=cfg)
+    got = step(banded, 0.0, u, 0.05, part=part, frozen=y, cfg=cfg)
+    for name in ("u_gamma", "u_next", "eps_raw", "eps_mod"):
+        a, b = getattr(ref, name), getattr(got, name)
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a))), name
 
 
 def test_fsal_bitwise_handoff():
