@@ -31,6 +31,7 @@ import numpy as np
 from . import benchmarks
 from .benchmarks import BenchmarkPreset, courant_numbers
 from .controller import ToleranceSpec
+from .dense_linalg import as_matrix
 from .errors import ToolkitError
 from .integrator import IntegrationTrace, Trajectory, integrate, integrate_single_rate
 from .ode_problem import ActivePartition
@@ -240,8 +241,15 @@ def cmd_run(args, argv: Sequence[str]) -> int:
 
 def cmd_stability(args, argv: Sequence[str]) -> int:
     try:
+        if args.points < 1:
+            raise ValueError(f"--points must be at least 1, got {args.points}")
+        for flag, value in (("--smin", args.smin), ("--smax", args.smax)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{flag} must be positive and finite, got {value!r}")
         if args.matrix_file:
-            a = np.loadtxt(args.matrix_file, delimiter=",", ndmin=2)
+            a = as_matrix(np.loadtxt(args.matrix_file, delimiter=",", ndmin=2))
+            if a.shape[0] != a.shape[1]:
+                raise ValueError(f"--matrix-file must hold a square matrix, got shape {a.shape}")
             if args.active is None:
                 raise ValueError("--active is required with --matrix-file")
             idx = [int(s) for s in args.active.split(",") if s.strip()]

@@ -1,27 +1,36 @@
 """Minimal direct linear-algebra kernel.
 
-Matrices are plain 2-D ``numpy`` float arrays.  The interface is real-valued;
+Matrices are plain ``numpy`` float arrays.  The interface is real-valued;
 complex arithmetic only appears internally in the spectral computations.
 Everything is direct: LU with partial pivoting for solves, the LAPACK
 singular-value iteration for the two-norm, and a dense eigenvalue solve for
 the spectral radius.
 
 :func:`lu_factor`/:func:`lu_solve` are the one seam for linear solves.  A
-square matrix is factored dense.  A banded matrix with ``kl`` sub- and ``ku``
-super-diagonals may instead be passed in LAPACK band storage (see
-:func:`band_storage`) with ``band=(kl, ku)``; it is then factored and solved
-by ``dgbtrf``/``dgbtrs`` in O(n·kl·(kl+ku)) work instead of O(n³).
+square matrix is factored dense by LAPACK ``dgetrf``/``dgetrs``.  A banded
+matrix with ``kl`` sub- and ``ku`` super-diagonals may instead be passed in
+LAPACK band storage (see :func:`band_storage`) with ``band=(kl, ku)``; it is
+then factored and solved by ``dgbtrf``/``dgbtrs`` in O(n·kl·(kl+ku)) work
+instead of O(n³).
+
+The dense path, :func:`matrix_norm`, :func:`spectral_radius` and
+:func:`eigenvalues` also take a stack of matrices, shape (..., n, n), and
+treat each matrix as if it were passed alone: a stacked solve takes
+right-hand sides with the same leading stack shape, and a stacked norm or
+radius returns one value per matrix.  One 2-D matrix still gives a float.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+# The package before its lapack submodule: in the reverse order scipy runs its
+# own imports in another order, and start-up took about 60 ms longer
+# (Python 3.11, SciPy 1.17).
+import scipy.linalg  # noqa: F401
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 from .errors import DimensionMismatch, NonConvergence, SingularMatrix
 
@@ -33,10 +42,26 @@ PIVOT_RTOL = 1e-14
 def as_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a 2-D float array with finite entries."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+    if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {m.shape}")
+    return _as_matrices(m)
+
+
+def _as_matrices(a) -> np.ndarray:
+    """Validate and return ``a`` as a float matrix or stack of matrices
+    (..., rows, cols) with finite entries."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
+    return m
+
+
+def _as_square(a) -> np.ndarray:
+    m = _as_matrices(a)
+    if m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {m.shape}")
     return m
 
 
@@ -67,8 +92,10 @@ def band_storage(a, band: Tuple[int, int], idx: Optional[Sequence[int]] = None) 
 class LuFactorization:
     """PA = LU factorization with partial pivoting, as produced by :func:`lu_factor`.
 
-    ``band`` is ``None`` for a dense factorization.  For a banded one it holds
-    (kl, ku), and ``factors`` is the LU in ``dgbtrf``'s band storage.
+    ``band`` is ``None`` for a dense factorization, whose ``factors`` and
+    ``pivots`` carry the stack shape of the factored matrices in front.  For a
+    banded one it holds (kl, ku), and ``factors`` is the LU in ``dgbtrf``'s
+    band storage.
     """
 
     factors: np.ndarray
@@ -77,30 +104,32 @@ class LuFactorization:
 
     @property
     def n(self) -> int:
-        return self.factors.shape[0 if self.band is None else 1]
+        return self.factors.shape[-1]
 
 
 def lu_factor(a, band: Optional[Tuple[int, int]] = None) -> LuFactorization:
-    """Factor a square matrix as PA = LU with partial pivoting.
+    """Factor a square matrix, or each matrix of a stack (..., n, n), as
+    PA = LU with partial pivoting.
 
     With ``band=(kl, ku)``, ``a`` is the matrix in band storage, shape
     (kl+ku+1, n) as built by :func:`band_storage`, and is factored by LAPACK
     ``dgbtrf``.  Storage entries outside the matrix must be zero.
 
     Raises :class:`SingularMatrix` when a pivot is negligible relative to the
-    magnitude of its original column (a zero column always counts as singular).
+    magnitude of its original column (a zero column always counts as
+    singular); for a stack the message names the matrix's stack index.
     """
     if band is not None:
         return _band_lu_factor(a, band)
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got shape {m.shape}")
-    col_scale = np.max(np.abs(m), axis=0)
-    with warnings.catch_warnings():
-        # exact zero pivots are reported below via SingularMatrix
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    _check_pivots(np.abs(np.diag(lu)), col_scale)
+    m = _as_square(a)
+    col_scale = np.abs(m).max(axis=-2)
+    lu = _column_major(m.shape)
+    lu[...] = m  # dgetrf factors each matrix of this copy in place
+    piv = np.empty(m.shape[:-1], dtype=np.int32)
+    for k in np.ndindex(m.shape[:-2]):
+        # info > 0 flags an exact zero pivot, which _check_pivots reports
+        _, piv[k], _ = dgetrf(lu[k], overwrite_a=1)
+    _check_pivots(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), col_scale)
     return LuFactorization(lu, piv)
 
 
@@ -124,58 +153,88 @@ def _band_lu_factor(ab, band: Tuple[int, int]) -> LuFactorization:
     return LuFactorization(lu, piv, (kl, ku))
 
 
+def _column_major(shape: Tuple[int, ...]) -> np.ndarray:
+    """An empty stack of matrices of ``shape`` (..., rows, cols), each one
+    Fortran-contiguous: the layout LAPACK reads and writes without copies."""
+    return np.empty(shape[:-2] + (shape[-1], shape[-2])).swapaxes(-1, -2)
+
+
 def _check_pivots(diag: np.ndarray, col_scale: np.ndarray) -> None:
     """Raise :class:`SingularMatrix` unless every pivot |u_jj| is nonzero and
-    at least PIVOT_RTOL times the largest entry of original column j."""
+    at least PIVOT_RTOL times the largest entry of original column j, for the
+    pivots (..., n) of each factored matrix."""
     ok = (diag > 0.0) & (col_scale > 0.0) & (diag >= PIVOT_RTOL * col_scale)
     if not ok.all():
-        raise SingularMatrix(f"negligible pivot in column {int(np.argmin(ok))}")
+        *stack, col = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        where = f" of stack index {', '.join(str(int(i)) for i in stack)}" if stack else ""
+        raise SingularMatrix(f"negligible pivot in column {int(col)}{where}")
 
 
 def lu_solve(f: LuFactorization, b) -> np.ndarray:
     """Solve A x = b given the factorization of A.
 
-    ``b`` may be a vector or carry multiple right-hand sides as columns.
+    ``b`` may be a vector or carry multiple right-hand sides as columns.  For
+    a stack of factorizations (..., n, n), ``b`` has shape (..., n) or
+    (..., n, k) with the same stack shape, and each system is solved with
+    its own matrix.
     """
     rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != f.n:
-        raise DimensionMismatch(f"rhs length {rhs.shape[0]} != matrix size {f.n}")
-    if f.band is None:
-        return scipy.linalg.lu_solve((f.factors, f.pivots), rhs, check_finite=False)
-    x, _ = dgbtrs(f.factors, f.band[0], f.band[1], rhs, f.pivots)
+    if f.band is not None:
+        if rhs.shape[0] != f.n:
+            raise DimensionMismatch(f"rhs length {rhs.shape[0]} != matrix size {f.n}")
+        x, _ = dgbtrs(f.factors, f.band[0], f.band[1], rhs, f.pivots)
+        return x
+    stack = f.factors.shape[:-2]
+    cut = len(stack)
+    if rhs.shape[:cut] != stack or rhs.ndim - cut not in (1, 2) or rhs.shape[cut] != f.n:
+        raise DimensionMismatch(
+            f"rhs of shape {rhs.shape} does not fit {stack + (f.n, f.n)} factorizations"
+        )
+    x = _column_major(rhs.shape) if rhs.ndim - cut == 2 else np.empty_like(rhs)
+    for k in np.ndindex(stack):
+        x[k], _ = dgetrs(f.factors[k], f.pivots[k], rhs[k])
     return x
 
 
-def matrix_norm(a, kind: str) -> float:
+def _per_matrix(values: np.ndarray):
+    """A per-matrix reduction as returned: a float for one 2-D matrix."""
+    return float(values) if values.ndim == 0 else values
+
+
+def matrix_norm(a, kind: str):
     """Matrix norm of ``a``: ``"one"`` (max column sum), ``"inf"`` (max row sum)
-    or ``"two"`` (largest singular value)."""
-    m = as_matrix(a)
+    or ``"two"`` (largest singular value); one per matrix of a stack."""
+    m = _as_matrices(a)
     if kind == "one":
-        return float(np.max(np.sum(np.abs(m), axis=0)))
+        return _per_matrix(np.abs(m).sum(axis=-2).max(axis=-1))
     if kind == "inf":
-        return float(np.max(np.sum(np.abs(m), axis=1)))
+        return _per_matrix(np.abs(m).sum(axis=-1).max(axis=-1))
     if kind == "two":
-        return _two_norm(m)
+        return _per_matrix(_two_norm(m))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def _two_norm(m: np.ndarray) -> float:
+def _two_norm(m: np.ndarray) -> np.ndarray:
     # Largest singular value via the LAPACK iterative QR-SVD.  Plain power
     # iteration on AᵀA stalls on near-identity matrices whose top singular
     # values cluster (the amplification matrices swept here do exactly that).
     try:
-        return float(np.linalg.norm(m, 2))
+        return np.linalg.svd(m, compute_uv=False).max(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"singular-value iteration failed: {exc}") from exc
 
 
-def spectral_radius(a) -> float:
-    """Largest |λ| over the (possibly complex) eigenvalues of a square real matrix."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got shape {m.shape}")
+def eigenvalues(a) -> np.ndarray:
+    """The (possibly complex) eigenvalues of a square real matrix, (..., n) for
+    a stack of them."""
+    m = _as_square(a)
     try:
-        eigs = np.linalg.eigvals(m)
+        return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    return float(np.max(np.abs(eigs)))
+
+
+def spectral_radius(a):
+    """Largest |λ| over the eigenvalues of a square real matrix; one per
+    matrix of a stack."""
+    return _per_matrix(np.abs(eigenvalues(a)).max(axis=-1))

@@ -5,10 +5,16 @@ Z = h·A, gives rise to a multirate amplification matrix when a constant macro
 step h is split once into two half steps h/2 for an active component subset,
 with the latent components reconstructed at the midpoint by an interpolation
 matrix Q acting on the start state.  The assembly here simulates those block
-equations with LU solves; an algebraically expanded closed form is kept
-alongside as a cross-check.  Norm sweeps over a grid of rescaled step sizes
-h·max|λ(A)| reproduce the stability diagnostics for the built-in model
-systems.
+equations with LU solves.
+
+Norm sweeps over a grid of rescaled step sizes h·max|λ(A)| reproduce the
+stability diagnostics for the built-in model systems.  A sweep works on
+stacks Z = h·A over one chunk of grid points at a time, bounded in bytes by
+CHUNK_BYTES.  R(Z), D(Z/2), N(Z/2) and the factorization of the active block
+are built once per chunk and shared by the single-rate matrix and both
+interpolation kinds.  The single-rate spectral radius is max|R(h·λᵢ)| over
+the eigenvalues λᵢ of A, by the spectral mapping theorem.  The one-matrix
+functions call the same stacked code with a single matrix.
 """
 
 from __future__ import annotations
@@ -18,12 +24,18 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .dense_linalg import as_matrix, lu_factor, lu_solve, matrix_norm, spectral_radius
+from .dense_linalg import as_matrix, eigenvalues, lu_factor, lu_solve, matrix_norm, spectral_radius
 from .errors import UnknownSystem
 from .ode_problem import ActivePartition
 from .trbdf2 import GAMMA
 
 NORM_KINDS = ("one", "two", "inf")
+INTERPOLATION_KINDS = ("linear", "hermite")
+
+# Bytes of one stacked array in a sweep chunk.  A chunk holds about a dozen
+# such arrays at once, so this bounds the sweep's working memory whatever the
+# grid length: 20 grid points at order 40, a 400-point grid whole at order 4.
+CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -31,7 +43,8 @@ class RationalMatrixMethod:
     """One-step solver amplification R(Z) = D(Z)⁻¹N(Z), polynomials in Z.
 
     Coefficients are ascending in powers of Z and are applied with the
-    identity in place of Z⁰.  Consistency requires D(0)⁻¹N(0) = I.
+    identity in place of Z⁰.  Consistency requires D(0)⁻¹N(0) = I.  Every
+    matrix method also takes a stack of matrices (..., n, n).
     """
 
     numerator: Tuple[float, ...]
@@ -47,12 +60,23 @@ class RationalMatrixMethod:
         lu = lu_factor(self.d_poly(z))
         return lu_solve(lu, self.n_poly(z))
 
+    def scalar_amplification(self, z: np.ndarray) -> np.ndarray:
+        """R(z) = N(z)/D(z) elementwise, for (complex) scalar arguments."""
+        return _scalar_poly(self.numerator, z) / _scalar_poly(self.denominator, z)
+
 
 def _matrix_poly(coeffs: Sequence[float], z: np.ndarray) -> np.ndarray:
-    n = z.shape[0]
+    eye = np.eye(z.shape[-1])
     out = np.zeros_like(z)
     for c in reversed(coeffs):
-        out = out @ z + c * np.eye(n)
+        out = out @ z + c * eye
+    return out
+
+
+def _scalar_poly(coeffs: Sequence[float], z: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(z)
+    for c in reversed(coeffs):
+        out = out * z + c
     return out
 
 
@@ -67,6 +91,14 @@ def trbdf2_method() -> RationalMatrixMethod:
 
 
 TRBDF2_METHOD = trbdf2_method()
+
+
+def _check_setup(m: int, active: ActivePartition, kinds: Sequence[str]) -> None:
+    if active.m != m:
+        raise ValueError("partition dimension does not match the matrix")
+    for kind in kinds:
+        if kind not in INTERPOLATION_KINDS:
+            raise ValueError("interpolation kind must be 'linear' or 'hermite'")
 
 
 @dataclass(frozen=True)
@@ -84,10 +116,7 @@ class StabilitySetup:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("system matrix must be square")
-        if self.active.m != m.shape[0]:
-            raise ValueError("partition dimension does not match the matrix")
-        if self.kind not in ("linear", "hermite"):
-            raise ValueError("interpolation kind must be 'linear' or 'hermite'")
+        _check_setup(m.shape[0], self.active, (self.kind,))
 
 
 def single_rate_amplification(a, h: float, method: RationalMatrixMethod = TRBDF2_METHOD) -> np.ndarray:
@@ -104,10 +133,15 @@ def interpolation_matrix(a, h: float, kind: str, method: RationalMatrixMethod = 
     R_γ = (I − (γ/2)Z)⁻¹(I + (γ/2)Z).
     """
     z = h * as_matrix(a)
-    n = z.shape[0]
-    eye = np.eye(n)
+    r = method.amplification(z) if kind == "linear" else None
+    return _interpolation(z, r, kind)
+
+
+def _interpolation(z: np.ndarray, r, kind: str) -> np.ndarray:
+    """Q for Z (..., n, n); the linear kind reuses r = R(Z)."""
+    eye = np.eye(z.shape[-1])
     if kind == "linear":
-        return 0.5 * (eye + method.amplification(z))
+        return 0.5 * (eye + r)
     if kind != "hermite":
         raise ValueError("interpolation kind must be 'linear' or 'hermite'")
     g = GAMMA
@@ -120,6 +154,43 @@ def interpolation_matrix(a, h: float, kind: str, method: RationalMatrixMethod = 
     return eye + beta * gz + beta**2 * f_mat + beta**3 * g_mat
 
 
+class _AmplificationStack:
+    """R(Z) and the half-step blocks both interpolation kinds share, for
+    Z = h·A (..., m, m): one matrix or a chunk of a sweep."""
+
+    def __init__(self, z: np.ndarray, active: ActivePartition, method: RationalMatrixMethod) -> None:
+        self.z = z
+        self.act = active.indices
+        self.lat = active.complement().indices
+        self.r = method.amplification(z)
+        if self.act.size:
+            z_half = 0.5 * z
+            d_act = method.d_poly(z_half)[..., self.act, :]
+            self.n_act = method.n_poly(z_half)[..., self.act, :]
+            self.d_al = d_act[..., self.lat]
+            self.lu_aa = lu_factor(d_act[..., self.act])
+
+    def multirate(self, kind: str) -> np.ndarray:
+        """Multirate amplification matrix for one h/2 refinement of the active set.
+
+        Latent rows copy the single-rate macro step; active rows run two half
+        steps against the interpolated (first half) and macro-endpoint
+        (second half) latent values.
+        """
+        act, lat, r = self.act, self.lat, self.r
+        if act.size == 0:
+            return r.copy()
+        q_lat = _interpolation(self.z, r, kind)[..., lat, :]
+        # First half step: D_aa x1 = [N_half]_act u - D_a,lat (Q u)_lat.
+        m1 = lu_solve(self.lu_aa, self.n_act - self.d_al @ q_lat)
+        # Second half step: endpoint latent values come from the macro step itself.
+        rhs2 = self.n_act[..., act] @ m1
+        rhs2 += self.d_al @ (-r[..., lat, :]) + self.n_act[..., lat] @ q_lat
+        r_mr = r.copy()
+        r_mr[..., act, :] = lu_solve(self.lu_aa, rhs2)
+        return r_mr
+
+
 def multirate_amplification(setup: StabilitySetup) -> np.ndarray:
     """Multirate amplification matrix for one h/2 refinement of the active set.
 
@@ -127,80 +198,8 @@ def multirate_amplification(setup: StabilitySetup) -> np.ndarray:
     the single-rate macro step, active rows run two half steps against the
     interpolated (first half) and macro-endpoint (second half) latent values.
     """
-    a = as_matrix(setup.matrix)
-    m = a.shape[0]
-    act = setup.active.indices
-    lat = setup.active.complement().indices
-    z = setup.h * a
-    method = setup.method
-
-    r_full = method.amplification(z)
-    if act.size == 0:
-        return r_full.copy()
-
-    q = interpolation_matrix(a, setup.h, setup.kind, method)
-    d_half = method.d_poly(0.5 * z)
-    n_half = method.n_poly(0.5 * z)
-
-    d_aa = d_half[np.ix_(act, act)]
-    lu_aa = lu_factor(d_aa)
-
-    # First half step: D_aa x1 = [N_half]_act u - D_a,lat (Q u)_lat.
-    rhs1 = n_half[act, :].copy()
-    if lat.size:
-        rhs1 -= d_half[np.ix_(act, lat)] @ q[lat, :]
-    m1 = lu_solve(lu_aa, rhs1)
-
-    # Second half step: endpoint latent values come from the macro step itself.
-    rhs2 = n_half[np.ix_(act, act)] @ m1
-    if lat.size:
-        rhs2 += d_half[np.ix_(act, lat)] @ (-r_full[lat, :]) + n_half[np.ix_(act, lat)] @ q[lat, :]
-    m2 = lu_solve(lu_aa, rhs2)
-
-    r_mr = np.zeros((m, m))
-    r_mr[act, :] = m2
-    if lat.size:
-        r_mr[lat, :] = r_full[lat, :]
-    return r_mr
-
-
-def multirate_amplification_expanded(setup: StabilitySetup) -> np.ndarray:
-    """Closed-form expansion of the same matrix, kept as an independent
-    cross-check of the block assembly."""
-    a = as_matrix(setup.matrix)
-    m = a.shape[0]
-    act = setup.active.indices
-    lat = setup.active.complement().indices
-    z = setup.h * a
-    method = setup.method
-
-    r_full = method.amplification(z)
-    if act.size == 0:
-        return r_full.copy()
-
-    q = interpolation_matrix(a, setup.h, setup.kind, method)
-    d_half = method.d_poly(0.5 * z)
-    n_half = method.n_poly(0.5 * z)
-
-    p = np.zeros((act.size, m))
-    p[np.arange(act.size), act] = 1.0
-    e = p.T
-    p_perp = np.zeros((lat.size, m))
-    p_perp[np.arange(lat.size), lat] = 1.0
-    e_perp = p_perp.T
-
-    d_aa = p @ d_half @ e
-    d_al = p @ d_half @ e_perp
-    n_aa = p @ n_half @ e
-    n_al = p @ n_half @ e_perp
-    d_aa_inv = np.linalg.inv(d_aa)
-
-    inner = (
-        d_aa_inv @ n_aa @ d_aa_inv @ (p @ n_half - d_al @ (p_perp @ q))
-        + d_aa_inv @ n_al @ (p_perp @ q)
-        - d_aa_inv @ d_al @ (p_perp @ r_full)
-    )
-    return e @ inner + e_perp @ p_perp @ r_full
+    z = setup.h * as_matrix(setup.matrix)
+    return _AmplificationStack(z, setup.active, setup.method).multirate(setup.kind)
 
 
 @dataclass
@@ -218,13 +217,10 @@ class AmplificationReport:
     )
 
 
-def _all_norms(mat: np.ndarray) -> Tuple[float, float, float, float]:
-    return (
-        matrix_norm(mat, "one"),
-        matrix_norm(mat, "two"),
-        matrix_norm(mat, "inf"),
-        spectral_radius(mat),
-    )
+def _norm_columns(mats: np.ndarray) -> dict:
+    """One-, two- and inf-norm of each matrix of a stack, by report column."""
+    return {"norm1": matrix_norm(mats, "one"), "norm2": matrix_norm(mats, "two"),
+            "norminf": matrix_norm(mats, "inf")}
 
 
 def default_rescaled_grid(n_points: int = 60, s_min: float = 1e-3, s_max: float = 100.0) -> np.ndarray:
@@ -243,30 +239,32 @@ def norm_sweep(
     """Sweep matrix norms of the multirate and single-rate amplification
     matrices over a grid of rescaled time steps."""
     a = as_matrix(a)
-    lam = spectral_radius(a)
+    eigs = eigenvalues(a)
+    _check_setup(a.shape[0], partition, kinds)
+    lam = float(np.max(np.abs(eigs)))
     if lam <= 0.0:
         lam = 1.0  # zero matrix: rescaling is moot, use h directly
     grid = default_rescaled_grid() if rescaled_grid is None else np.asarray(rescaled_grid, dtype=float)
     report = AmplificationReport(system=system_name, max_abs_eigenvalue=lam)
-    for s in grid:
-        h = float(s) / lam
-        r_single = single_rate_amplification(a, h, method)
-        sr = _all_norms(r_single)
+    chunk = max(1, CHUNK_BYTES // a.nbytes)
+    for start in range(0, grid.size, chunk):
+        s = grid[start:start + chunk]
+        h = s / lam
+        stack = _AmplificationStack(h[:, None, None] * a, partition, method)
+        single = _norm_columns(stack.r)
+        single["spectral_radius"] = np.max(
+            np.abs(method.scalar_amplification(np.multiply.outer(h, eigs))), axis=-1)
+        multi = {}
         for kind in kinds:
-            setup = StabilitySetup(matrix=a, h=h, active=partition, kind=kind, method=method)
-            mr = _all_norms(multirate_amplification(setup))
-            report.rows.append({
-                "rescaled_h": float(s),
-                "kind": kind,
-                "norm1": mr[0],
-                "norm2": mr[1],
-                "norminf": mr[2],
-                "spectral_radius": mr[3],
-                "single_rate_norm1": sr[0],
-                "single_rate_norm2": sr[1],
-                "single_rate_norminf": sr[2],
-                "single_rate_spectral_radius": sr[3],
-            })
+            mats = stack.multirate(kind)
+            multi[kind] = _norm_columns(mats)
+            multi[kind]["spectral_radius"] = spectral_radius(mats)
+        for i, s_i in enumerate(s.tolist()):
+            for kind in kinds:
+                row = {"rescaled_h": s_i, "kind": kind}
+                row.update((col, float(v[i])) for col, v in multi[kind].items())
+                row.update((f"single_rate_{col}", float(v[i])) for col, v in single.items())
+                report.rows.append(row)
     return report
 
 

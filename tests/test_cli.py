@@ -129,6 +129,36 @@ def test_stability_missing_system_exits_2():
     assert main(["stability", "--out-dir", "/tmp/y"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--points", "0"],
+    ["--smin", "-1"],
+    ["--smax", "0"],
+    ["--smax", "inf"],
+])
+def test_stability_bad_grid_exits_2_and_writes_nothing(tmp_path, flags):
+    out = tmp_path / "bad"
+    assert main(["stability", "--system", "sys1", *flags, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_stability_non_square_matrix_file_exits_2_and_writes_nothing(tmp_path):
+    mfile = tmp_path / "rect.csv"
+    np.savetxt(mfile, np.ones((2, 3)), delimiter=",")
+    out = tmp_path / "bad"
+    assert main(["stability", "--matrix-file", str(mfile), "--active", "1",
+                 "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_stability_deterministic(tmp_path):
+    argv = ["stability", "--system", "heat40", "--kind", "both", "--points", "23"]
+    assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out-dir", str(tmp_path / "b")]) == 0
+    first = (tmp_path / "a" / "amplification.csv").read_bytes()
+    assert len(read_csv(tmp_path / "a" / "amplification.csv")) == 46
+    assert first == (tmp_path / "b" / "amplification.csv").read_bytes()
+
+
 def test_compare_emits_rows(tmp_path):
     out = tmp_path / "cmp"
     rc = main(["compare", "--preset", "reaction_diffusion", "--cells", "24",

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mrtrbdf2.dense_linalg import band_storage, lu_factor, lu_solve, matrix_norm, spectral_radius
+from mrtrbdf2.dense_linalg import (band_storage, eigenvalues, lu_factor, lu_solve, matrix_norm,
+                                   spectral_radius)
 from mrtrbdf2.errors import DimensionMismatch, SingularMatrix
 
 
@@ -200,3 +201,84 @@ def test_band_lu_rejects_non_finite_and_bad_shapes():
     f = lu_factor(band_storage(np.eye(3), (1, 1)), band=(1, 1))
     with pytest.raises(DimensionMismatch):
         lu_solve(f, np.ones(4))
+
+
+def random_stack(rng, shape, n):
+    return rng.normal(size=shape + (n, n)) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_stacked_lu_matches_per_matrix_calls(shape):
+    rng = np.random.default_rng(21)
+    n = 6
+    a = random_stack(rng, shape, n)
+    f = lu_factor(a)
+    assert f.factors.shape == shape + (n, n) and f.pivots.shape == shape + (n,) and f.n == n
+    b = rng.normal(size=shape + (n,))
+    bb = rng.normal(size=shape + (n, 3))
+    x, xx = lu_solve(f, b), lu_solve(f, bb)
+    assert x.shape == b.shape and xx.shape == bb.shape
+    for k in np.ndindex(shape):
+        one = lu_factor(a[k])
+        np.testing.assert_allclose(f.factors[k], one.factors, rtol=1e-14, atol=0.0)
+        assert np.array_equal(f.pivots[k], one.pivots)
+        np.testing.assert_allclose(x[k], lu_solve(one, b[k]), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(xx[k], lu_solve(one, bb[k]), rtol=1e-14, atol=0.0)
+        assert np.max(np.abs(a[k] @ xx[k] - bb[k])) <= 1e-12 * np.max(np.abs(bb[k]))
+
+
+def test_stacked_lu_singular_and_non_finite_matrices():
+    rng = np.random.default_rng(22)
+    a = random_stack(rng, (4,), 3)
+    a[2, :, 1] = 0.0  # zero column in matrix 2
+    with pytest.raises(SingularMatrix, match="column 1 of stack index 2"):
+        lu_factor(a)
+    a = random_stack(rng, (4,), 3)
+    a[3, 1] = a[3, 0]  # two equal rows in matrix 3
+    with pytest.raises(SingularMatrix, match="stack index 3"):
+        lu_factor(a)
+    a = random_stack(rng, (4,), 3)
+    a[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        lu_factor(a)
+    a[1, 0, 0] = np.inf
+    with pytest.raises(ValueError):
+        lu_factor(a)
+
+
+def test_stacked_lu_dimension_checks():
+    rng = np.random.default_rng(23)
+    with pytest.raises(DimensionMismatch):
+        lu_factor(np.ones((3, 2, 4)))  # non-square matrices
+    with pytest.raises(DimensionMismatch):
+        lu_factor(np.ones(4))
+    with pytest.raises(DimensionMismatch):
+        lu_factor(np.ones((3, 0, 0)))
+    f = lu_factor(random_stack(rng, (3,), 4))
+    for b in (np.ones((2, 4)), np.ones((3, 5)), np.ones((3, 5, 2)), np.ones(4), np.ones((3, 4, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            lu_solve(f, b)
+
+
+def test_stacked_norms_and_radius_match_per_matrix_values():
+    rng = np.random.default_rng(24)
+    a = rng.normal(size=(2, 3, 5, 5))
+    for kind in ("one", "two", "inf"):
+        got = matrix_norm(a, kind)
+        assert got.shape == (2, 3)
+        for k in np.ndindex(2, 3):
+            one = matrix_norm(a[k], kind)
+            assert isinstance(one, float)
+            assert got[k] == pytest.approx(one, rel=1e-14)
+    got = spectral_radius(a)
+    eigs = eigenvalues(a)
+    assert got.shape == (2, 3) and eigs.shape == (2, 3, 5)
+    for k in np.ndindex(2, 3):
+        one = spectral_radius(a[k])
+        assert isinstance(one, float)
+        assert got[k] == pytest.approx(one, rel=1e-14)
+        assert np.allclose(np.sort_complex(eigs[k]), np.sort_complex(eigenvalues(a[k])), rtol=1e-13, atol=0.0)
+    with pytest.raises(DimensionMismatch):
+        spectral_radius(rng.normal(size=(2, 3, 4)))
+    with pytest.raises(ValueError):
+        matrix_norm(a, "fro")

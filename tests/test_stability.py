@@ -5,17 +5,57 @@ from mrtrbdf2.dense_linalg import spectral_radius
 from mrtrbdf2.errors import UnknownSystem
 from mrtrbdf2.ode_problem import ActivePartition
 from mrtrbdf2.stability import (
+    CHUNK_BYTES,
+    MODEL_SYSTEMS,
     StabilitySetup,
     TRBDF2_METHOD,
     default_rescaled_grid,
     interpolation_matrix,
     model_system,
     multirate_amplification,
-    multirate_amplification_expanded,
     norm_sweep,
     single_rate_amplification,
 )
 from mrtrbdf2.trbdf2 import stability_function
+
+
+def multirate_amplification_expanded(setup: StabilitySetup) -> np.ndarray:
+    """Closed-form expansion of the multirate amplification matrix: an
+    independent cross-check of the block assembly."""
+    a = np.asarray(setup.matrix, dtype=float)
+    m = a.shape[0]
+    act = setup.active.indices
+    lat = setup.active.complement().indices
+    z = setup.h * a
+    method = setup.method
+
+    r_full = method.amplification(z)
+    if act.size == 0:
+        return r_full.copy()
+
+    q = interpolation_matrix(a, setup.h, setup.kind, method)
+    d_half = method.d_poly(0.5 * z)
+    n_half = method.n_poly(0.5 * z)
+
+    p = np.zeros((act.size, m))
+    p[np.arange(act.size), act] = 1.0
+    e = p.T
+    p_perp = np.zeros((lat.size, m))
+    p_perp[np.arange(lat.size), lat] = 1.0
+    e_perp = p_perp.T
+
+    d_aa = p @ d_half @ e
+    d_al = p @ d_half @ e_perp
+    n_aa = p @ n_half @ e
+    n_al = p @ n_half @ e_perp
+    d_aa_inv = np.linalg.inv(d_aa)
+
+    inner = (
+        d_aa_inv @ n_aa @ d_aa_inv @ (p @ n_half - d_al @ (p_perp @ q))
+        + d_aa_inv @ n_al @ (p_perp @ q)
+        - d_aa_inv @ d_al @ (p_perp @ r_full)
+    )
+    return e @ inner + e_perp @ p_perp @ r_full
 
 
 def test_method_consistency_at_zero():
@@ -157,3 +197,79 @@ def test_norm_sweep_schema_and_grid():
     for row in rep.rows:
         assert set(rep.COLUMNS) <= set(row.keys()) | {"kind", "rescaled_h"} | set(row.keys())
         assert np.isfinite(row["norm2"])
+
+
+def _numpy_norms(mat):
+    return {
+        "norm1": np.linalg.norm(mat, 1),
+        "norm2": np.linalg.norm(mat, 2),
+        "norminf": np.linalg.norm(mat, np.inf),
+        "spectral_radius": np.max(np.abs(np.linalg.eigvals(mat))),
+    }
+
+
+def reference_sweep(a, partition, kinds, grid):
+    """norm_sweep's rows one grid point at a time, from the expanded form,
+    np.linalg.eigvals and np.linalg.norm."""
+    lam = float(np.max(np.abs(np.linalg.eigvals(a)))) or 1.0
+    rows = []
+    for s in grid:
+        h = s / lam
+        single = _numpy_norms(multirate_amplification_expanded(
+            StabilitySetup(a, h, ActivePartition.empty(a.shape[0]))))
+        for kind in kinds:
+            multi = _numpy_norms(multirate_amplification_expanded(StabilitySetup(a, h, partition, kind)))
+            rows.append({"rescaled_h": s, "kind": kind, **multi,
+                         **{f"single_rate_{col}": v for col, v in single.items()}})
+    return rows
+
+
+def _random_non_normal():
+    # stiff spectrum on the diagonal, strong upper coupling: far from normal
+    rng = np.random.default_rng(80)
+    a = (np.tril(rng.normal(scale=0.5, size=(7, 7)), -1) + np.triu(rng.normal(scale=30.0, size=(7, 7)), 1)
+         - np.diag(np.geomspace(1.0, 1e3, 7)))
+    return a, ActivePartition(7, [0, 3, 4, 6])
+
+
+SWEEP_CASES = {name: lambda name=name: model_system(name) for name in MODEL_SYSTEMS}
+SWEEP_CASES["random7"] = _random_non_normal
+
+
+@pytest.mark.parametrize("n_points", [23, 1])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_stacked_sweep_matches_per_point_reference(case, n_points):
+    a, part = SWEEP_CASES[case]()
+    # 23 points at order 40 end in a partial chunk
+    assert 23 % (CHUNK_BYTES // (8 * 40 * 40)) != 0
+    grid = np.geomspace(1e-3, 100.0, n_points) if n_points > 1 else np.array([0.7])
+    kinds = ("linear", "hermite")
+    rows = norm_sweep(a, part, kinds=kinds, rescaled_grid=grid).rows
+    expected = reference_sweep(a, part, kinds, grid)
+    assert [(r["rescaled_h"], r["kind"]) for r in rows] == [(e["rescaled_h"], e["kind"]) for e in expected]
+    for row, want in zip(rows, expected):
+        for col, value in want.items():
+            if col != "kind":
+                assert row[col] == pytest.approx(value, rel=1e-12, abs=0.0), (col, row["rescaled_h"])
+
+
+@pytest.mark.parametrize("case", ["sys1", "adv40", "random7"])
+def test_single_rate_radius_is_spectrally_mapped(case):
+    a, part = SWEEP_CASES[case]()
+    grid = np.geomspace(1e-2, 50.0, 9)
+    lam = spectral_radius(a)
+    rep = norm_sweep(a, part, kinds=("linear",), rescaled_grid=grid)
+    assert rep.max_abs_eigenvalue == lam
+    for row in rep.rows:
+        direct = spectral_radius(single_rate_amplification(a, row["rescaled_h"] / lam))
+        assert row["single_rate_spectral_radius"] == pytest.approx(direct, rel=1e-12)
+
+
+def test_unknown_interpolation_kind_raises():
+    a, part = model_system("sys1")
+    with pytest.raises(ValueError):
+        norm_sweep(a, part, kinds=("linear", "cubic"))
+    with pytest.raises(ValueError):
+        interpolation_matrix(a, 0.1, "cubic")
+    with pytest.raises(ValueError):
+        StabilitySetup(a, 0.1, part, "cubic")
