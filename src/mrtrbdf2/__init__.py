@@ -32,15 +32,12 @@ from .integrator import (
     integrate,
     integrate_single_rate,
     macro_step,
-    workload,
 )
 from .interpolants import HermiteData, hermite_cubic, linear_interp, quadratic_lagrange
 from .ode_problem import (
     ActivePartition,
     EvalCounter,
     OdeProblem,
-    eval_jacobian,
-    eval_rhs,
     eval_subsystem_rhs,
     subsystem_jacobian,
 )
@@ -59,7 +56,6 @@ from .trbdf2 import (
     NewtonConfig,
     StepResult,
     TrBdf2Coefficients,
-    modified_error_estimate,
     raw_error_estimate,
     stability_function,
     step,
@@ -72,12 +68,11 @@ __all__ = [
     "GAMMA", "HermiteData", "IntegrationTrace", "LuFactorization", "MacroRecord",
     "MicroRecord", "MultirateConfig", "NewtonConfig", "OdeProblem",
     "RationalMatrixMethod", "StabilitySetup", "StepResult", "ToleranceSpec",
-    "Trajectory", "TrBdf2Coefficients", "accept_global", "eval_jacobian",
-    "eval_rhs", "eval_subsystem_rhs", "hermite_cubic", "integrate",
-    "integrate_single_rate", "interpolation_matrix", "linear_interp", "lu_factor",
-    "lu_solve", "macro_step", "matrix_norm", "model_system",
-    "modified_error_estimate", "multirate_amplification", "next_step_size",
-    "norm_sweep", "normalized_errors", "quadratic_lagrange", "raw_error_estimate",
+    "Trajectory", "TrBdf2Coefficients", "accept_global", "eval_subsystem_rhs",
+    "hermite_cubic", "integrate", "integrate_single_rate", "interpolation_matrix",
+    "linear_interp", "lu_factor", "lu_solve", "macro_step", "matrix_norm",
+    "model_system", "multirate_amplification", "next_step_size", "norm_sweep",
+    "normalized_errors", "quadratic_lagrange", "raw_error_estimate",
     "select_active", "single_rate_amplification", "spectral_radius",
-    "stability_function", "step", "subsystem_jacobian", "workload",
+    "stability_function", "step", "subsystem_jacobian",
 ]

@@ -41,8 +41,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 
-PRESETS = ("inverter_chain", "reaction_diffusion", "advection", "burgers",
-           "burgers_shock", "burgers_rarefaction")
+# Preset name -> (factory in :mod:`.benchmarks`, {CLI flag: factory keyword},
+# fixed factory defaults that the flags may override).  ``--t-end`` goes to
+# every factory.  The factory is looked up by name at build time, so a
+# wrapper installed on the ``benchmarks`` module is the one called.
+_PDE_FLAGS = {"cells": "n_cells", "tol_abs": "tol_abs", "tol_rel": "tol_rel"}
+_BURGERS_FLAGS = {**_PDE_FLAGS, "ul": "u_left", "ur": "u_right"}
+_PRESET_TABLE = {
+    "inverter_chain": ("inverter_chain", {"m": "m", "tol_abs": "tol_abs"}, {}),
+    "reaction_diffusion": ("reaction_diffusion", _PDE_FLAGS, {}),
+    "advection": ("linear_advection", _PDE_FLAGS, {}),
+    "burgers": ("burgers_riemann", _BURGERS_FLAGS, {}),
+    "burgers_shock": ("burgers_riemann", _BURGERS_FLAGS, {}),
+    "burgers_rarefaction": ("burgers_riemann", _BURGERS_FLAGS, {"u_left": 0.0, "u_right": 1.0}),
+}
+PRESETS = tuple(_PRESET_TABLE)
+_PRESET_FLAGS = tuple(dict.fromkeys(dest for _, flags, _ in _PRESET_TABLE.values() for dest in flags))
 
 
 def _fmt(x) -> str:
@@ -60,49 +74,16 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def _build_preset(args) -> BenchmarkPreset:
-    name = args.preset
-    kw = {}
+    factory, flags, defaults = _PRESET_TABLE[args.preset]
+    kw = dict(defaults)
     if args.t_end is not None:
         kw["t_end"] = args.t_end
-    if name == "inverter_chain":
-        if args.m is not None:
-            kw["m"] = args.m
-        if args.tol_abs is not None:
-            kw["tol_abs"] = args.tol_abs
-        preset = benchmarks.inverter_chain(**kw)
-    elif name == "reaction_diffusion":
-        if args.cells is not None:
-            kw["n_cells"] = args.cells
-        if args.tol_abs is not None:
-            kw["tol_abs"] = args.tol_abs
-        if args.tol_rel is not None:
-            kw["tol_rel"] = args.tol_rel
-        preset = benchmarks.reaction_diffusion(**kw)
-    elif name == "advection":
-        if args.cells is not None:
-            kw["n_cells"] = args.cells
-        if args.tol_abs is not None:
-            kw["tol_abs"] = args.tol_abs
-        if args.tol_rel is not None:
-            kw["tol_rel"] = args.tol_rel
-        preset = benchmarks.linear_advection(**kw)
-    elif name in ("burgers", "burgers_shock", "burgers_rarefaction"):
-        if args.cells is not None:
-            kw["n_cells"] = args.cells
-        if args.tol_abs is not None:
-            kw["tol_abs"] = args.tol_abs
-        if args.tol_rel is not None:
-            kw["tol_rel"] = args.tol_rel
-        if name == "burgers_rarefaction":
-            kw.setdefault("u_left", 0.0)
-            kw.setdefault("u_right", 1.0)
-        if args.ul is not None:
-            kw["u_left"] = args.ul
-        if args.ur is not None:
-            kw["u_right"] = args.ur
-        preset = benchmarks.burgers_riemann(**kw)
-    else:
-        raise ValueError(f"unknown preset {name!r}")
+    given = [dest for dest in _PRESET_FLAGS if getattr(args, dest) is not None]
+    unsupported = ["--" + dest.replace("_", "-") for dest in given if dest not in flags]
+    if unsupported:
+        raise ValueError(f"preset {args.preset!r} does not take {', '.join(unsupported)}")
+    kw.update({flags[dest]: getattr(args, dest) for dest in given})
+    preset = getattr(benchmarks, factory)(**kw)
 
     cfg = preset.config
     ctrl = cfg.controller
@@ -298,18 +279,18 @@ def cmd_compare(args, argv: Sequence[str]) -> int:
         if not tols:
             raise ValueError("tolerance list is empty")
         preset0 = _build_preset(args)
+        # τ_r scales with τ_a, so the preset's ratio between them is kept.
+        base = preset0.config.tolerances
+        run_tols = [ToleranceSpec(base.tau_r * (tol / base.tau_a), tol) for tol in tols]
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     ref = preset0.reference_states([preset0.t_end])[preset0.t_end]
     rows = []
-    for tol in tols:
+    for tol, tolerances in zip(tols, run_tols):
         for mode in ("single", "multi"):
-            cfg = preset0.config
-            scale = tol / cfg.tolerances.tau_a
-            tolerances = ToleranceSpec(cfg.tolerances.tau_r * scale, tol)
-            run_cfg = replace(cfg, tolerances=tolerances)
+            run_cfg = replace(preset0.config, tolerances=tolerances)
             driver = integrate if mode == "multi" else integrate_single_rate
             t_start = time.perf_counter()
             try:

@@ -24,16 +24,17 @@ EPS_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class ToleranceSpec:
-    """Relative and absolute error tolerances; τ_a > 0 guards the division."""
+    """Relative and absolute error tolerances, both finite; τ_a > 0 guards
+    the division."""
 
     tau_r: float
     tau_a: float
 
     def __post_init__(self) -> None:
-        if self.tau_r < 0:
-            raise ValueError("relative tolerance must be >= 0")
-        if self.tau_a <= 0:
-            raise ValueError("absolute tolerance must be > 0")
+        if not 0.0 < self.tau_a < math.inf:
+            raise ValueError(f"absolute tolerance must be finite and > 0, got {self.tau_a!r}")
+        if not 0.0 <= self.tau_r < math.inf:
+            raise ValueError(f"relative tolerance must be finite and >= 0, got {self.tau_r!r}")
 
     def scale(self, u: np.ndarray) -> np.ndarray:
         """Per-component tolerance scale τ_r |u| + τ_a."""

@@ -148,11 +148,6 @@ class IntegrationTrace:
         }
 
 
-def workload(trace: IntegrationTrace) -> int:
-    """Total space-time points computed over all accepted steps."""
-    return trace.workload()
-
-
 class Trajectory:
     """Accepted macro times and states, with dense output into each interval.
 

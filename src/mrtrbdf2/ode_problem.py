@@ -8,9 +8,14 @@ evaluating the subsystem obtained by freezing the complementary (latent)
 components is a scatter / full evaluation / gather round trip, so no reduced
 right-hand side ever has to be written by hand.
 
-Scalar function-evaluation accounting: a full right-hand-side call costs m
-scalar evaluations, a subsystem call costs |active|.  Counters are owned by a
-single integration run (see :class:`EvalCounter`), never by the problem.
+The problem layer has one operation of each kind: :func:`eval_subsystem_rhs`
+for f and :func:`subsystem_jacobian` for ∂f/∂y (analytic when the problem has
+one, forward differences otherwise), both on an active subsystem.  The full
+system is the subsystem ``ActivePartition.full(m)``.
+
+Scalar function-evaluation accounting: a subsystem call costs |active| scalar
+evaluations, so a full call costs m.  Counters are owned by a single
+integration run (see :class:`EvalCounter`), never by the problem.
 """
 
 from __future__ import annotations
@@ -74,13 +79,6 @@ class ActivePartition:
         mask = np.ones(self.m, dtype=bool)
         mask[self.indices] = False
         return ActivePartition(self.m, np.nonzero(mask)[0])
-
-    def subset_of(self, other: "ActivePartition") -> bool:
-        return bool(np.all(np.isin(self.indices, other.indices)))
-
-    def gather(self, full: np.ndarray) -> np.ndarray:
-        """Extract the active components of a full-length vector."""
-        return np.asarray(full, dtype=float)[self.indices]
 
     def scatter(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Return a copy of ``base`` with the active entries replaced by ``x``."""
@@ -146,43 +144,6 @@ def _call_rhs(p: OdeProblem, t: float, y: np.ndarray) -> np.ndarray:
     return f
 
 
-def eval_rhs(p: OdeProblem, t: float, y: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
-    """Evaluate f(t, y); counts m scalar evaluations."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (p.m,):
-        raise DimensionMismatch(f"state has shape {y.shape}, expected ({p.m},)")
-    f = _call_rhs(p, t, y)
-    if counter is not None:
-        counter.add(p.m)
-    if not np.all(np.isfinite(f)):
-        raise NonFiniteOutput(f"rhs produced non-finite values at t={t}")
-    return f
-
-
-def eval_jacobian(p: OdeProblem, t: float, y: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
-    """Jacobian of f at (t, y): analytic if available, else forward differences.
-
-    Finite-difference columns use the increment sqrt(eps) * max(|y_j|, 1) so
-    that components sitting at or near zero still get a sensible perturbation.
-    """
-    y = np.asarray(y, dtype=float)
-    if p.jacobian is not None:
-        jac = np.asarray(p.jacobian(t, y), dtype=float)
-        if jac.shape != (p.m, p.m):
-            raise DimensionMismatch(f"jacobian has shape {jac.shape}, expected ({p.m}, {p.m})")
-        if not np.all(np.isfinite(jac)):
-            raise NonFiniteOutput(f"jacobian produced non-finite values at t={t}")
-        return jac
-    f0 = eval_rhs(p, t, y, counter)
-    jac = np.empty((p.m, p.m))
-    for j in range(p.m):
-        eps = FD_EPS * max(abs(y[j]), 1.0)
-        yp = y.copy()
-        yp[j] += eps
-        jac[:, j] = (eval_rhs(p, t, yp, counter) - f0) / eps
-    return jac
-
-
 def eval_subsystem_rhs(
     p: OdeProblem,
     t: float,
@@ -221,15 +182,21 @@ def subsystem_jacobian(
     """Active-row/active-column block of the full Jacobian at (t, y).
 
     The latent components are held fixed, so this equals the Jacobian of the
-    frozen subsystem.  With an analytic Jacobian the block is sliced out; with
-    finite differences only the active columns are formed.  When the problem
-    declares a bandwidth the block comes in band storage
+    frozen subsystem.  With an analytic Jacobian the block is sliced out of
+    the checked m×m matrix; with forward differences only the active columns
+    are formed, each with the increment sqrt(eps)·max(|y_j|, 1) so that
+    components at or near zero still get a sensible perturbation.  When the
+    problem declares a bandwidth the block comes in band storage
     (:func:`~.dense_linalg.band_storage`) with the same (kl, ku).
     """
     y = np.asarray(y, dtype=float)
     idx = part.indices
     if p.jacobian is not None:
-        jac = eval_jacobian(p, t, y, counter)
+        jac = np.asarray(p.jacobian(t, y), dtype=float)
+        if jac.shape != (p.m, p.m):
+            raise DimensionMismatch(f"jacobian has shape {jac.shape}, expected ({p.m}, {p.m})")
+        if not np.all(np.isfinite(jac)):
+            raise NonFiniteOutput(f"jacobian produced non-finite values at t={t}")
         if p.bandwidth is not None:
             return band_storage(jac, p.bandwidth, idx)
         return jac[np.ix_(idx, idx)]

@@ -5,18 +5,20 @@ followed by a BDF2-type stage to t + h, with γ = 2 − √2 so that both implic
 stages share the matrix (I − d·h·J), d = γ/2.  Each stage is solved with
 Newton iterations on the scaled stage derivative z = h·f rather than on the
 state itself, which keeps stiff components accurate.  The embedded third-order
-weight row provides a raw local error estimate, which is additionally passed
-through (I − d·h·J)⁻¹ to stay bounded for stiff components.
+weight row provides a raw local error estimate, which is passed through
+(I − d·h·J)⁻¹, reusing the stages' factorization, to stay bounded for stiff
+components.
 
-A step may be taken on the full system or on an active subsystem with the
-latent components frozen to given values (see :mod:`.ode_problem`).
+A step is taken on an active subsystem whose latent components are read from
+a callable of the stage time (see :mod:`.ode_problem`); the full system is
+the case where every component is active.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -57,15 +59,12 @@ COEFFS = TrBdf2Coefficients()
 class NewtonConfig:
     """Newton iteration controls for the two implicit stages.
 
-    ``tolerance`` is applied to the max norm of the z-increment.  When
-    ``jacobian_reuse`` is True (default) one Jacobian evaluated at the step
-    start serves both stages; otherwise the second stage re-evaluates it at
-    the trapezoidal stage result.
+    ``tolerance`` is applied to the max norm of the z-increment.  Both stages
+    iterate on one factorization of I − d·h·J with J taken at the step start.
     """
 
     tolerance: float = 1e-8
     max_iterations: int = 25
-    jacobian_reuse: bool = True
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
@@ -79,7 +78,9 @@ class StepResult:
     """Everything one TR-BDF2 step produces.
 
     States and stage derivatives live on the stepped (active) components;
-    z values are scaled by the step size (z = h·f).
+    z values are scaled by the step size (z = h·f).  ``eps_mod`` is the
+    modified error estimate (I − d·h·J)⁻¹ ε_raw; the raw estimate ε_raw is
+    ``raw_error_estimate(z_n, z_gamma, z_next)``.
     """
 
     u_gamma: np.ndarray
@@ -87,7 +88,6 @@ class StepResult:
     z_n: np.ndarray
     z_gamma: np.ndarray
     z_next: np.ndarray
-    eps_raw: np.ndarray
     eps_mod: np.ndarray
     newton_iterations: Tuple[int, int]
 
@@ -120,19 +120,6 @@ def raw_error_estimate(
         raise DimensionMismatch("stage vectors must share one shape")
     db = [c.b_star[i] - c.b[i] for i in range(3)]
     return db[0] * z_n + db[1] * z_gamma + db[2] * z_next
-
-
-def modified_error_estimate(
-    eps_raw: np.ndarray,
-    jac: np.ndarray,
-    h: float,
-    d: float = D_STAGE,
-) -> np.ndarray:
-    """Solve (I − d·h·J) ε = ε_raw, taming the raw estimate for stiff components."""
-    jac = np.asarray(jac, dtype=float)
-    n = jac.shape[0]
-    lu = lu_factor(np.eye(n) - (d * h) * jac)
-    return lu_solve(lu, np.asarray(eps_raw, dtype=float))
 
 
 def _factor_newton_matrix(
@@ -187,7 +174,7 @@ def step(
     u: np.ndarray,
     h: float,
     part: Optional[ActivePartition] = None,
-    frozen=None,
+    frozen: Optional[Callable[[float], np.ndarray]] = None,
     z_in: Optional[np.ndarray] = None,
     cfg: Optional[NewtonConfig] = None,
     counter: Optional[EvalCounter] = None,
@@ -195,13 +182,13 @@ def step(
     """Advance the (sub)system one TR-BDF2 step of size h from (t, u).
 
     ``u`` holds the active components when ``part`` names a proper subsystem;
-    ``frozen`` then supplies the full-state context carrying the latent
-    values, either as one vector or as a callable of the stage time (so
-    latent components reconstructed by interpolation are sampled at each
-    stage time instead of being held fixed across the step, which would
-    degrade the step to first order).  ``z_in`` is an already-scaled
-    first-stage derivative h·f(t, u) (the FSAL hand-off from a previous
-    step); when absent it is computed.
+    ``frozen`` then maps a stage time to the full-state context carrying the
+    latent values (so latent components reconstructed by interpolation are
+    sampled at each stage time instead of being held fixed across the step,
+    which would degrade the step to first order).  A full step needs no
+    ``frozen``.  ``z_in`` is an already-scaled first-stage derivative
+    h·f(t, u) (the FSAL hand-off from a previous step); when absent it is
+    computed.
 
     Both implicit stages share one LU factorization of (I − d·h·J), with the
     Jacobian frozen at the step start; it is factored in band storage when
@@ -218,42 +205,30 @@ def step(
     if frozen is None:
         if not part.is_full:
             raise DimensionMismatch("a proper subsystem step needs the frozen full-state context")
-        frozen = u
-    if callable(frozen):
-        context = frozen
-    else:
-        frozen_vec = np.asarray(frozen, dtype=float)
 
-        def context(ts: float) -> np.ndarray:
-            return frozen_vec
+        def frozen(ts: float) -> np.ndarray:
+            return u
 
     if u.shape[0] != part.size:
         raise DimensionMismatch(f"state length {u.shape[0]} != active size {part.size}")
 
     def f_sub(ts: float, x: np.ndarray) -> np.ndarray:
-        return eval_subsystem_rhs(problem, ts, x, context(ts), part, counter)
+        return eval_subsystem_rhs(problem, ts, x, frozen(ts), part, counter)
 
     z_n = h * f_sub(t, u) if z_in is None else np.asarray(z_in, dtype=float)
     if z_n.shape != u.shape:
         raise DimensionMismatch("z_in has the wrong shape")
 
-    jac = subsystem_jacobian(problem, t, part.scatter(u, context(t)), part, counter)
+    jac = subsystem_jacobian(problem, t, part.scatter(u, frozen(t)), part, counter)
     lu = _factor_newton_matrix(jac, h, problem.bandwidth)
 
     # Trapezoidal stage to t + γh, started from the incoming stage derivative.
     z_gamma, it_tr = _newton_stage(f_sub, lu, t + GAMMA * h, u + D_STAGE * z_n, z_n, h, cfg)
     u_gamma = u + D_STAGE * z_n + D_STAGE * z_gamma
 
-    lu2 = lu
-    if not cfg.jacobian_reuse:
-        jac2 = subsystem_jacobian(
-            problem, t + GAMMA * h, part.scatter(u_gamma, context(t + GAMMA * h)), part, counter
-        )
-        lu2 = _factor_newton_matrix(jac2, h, problem.bandwidth)
-
     # BDF2 stage to t + h, started from the trapezoidal stage derivative.
     base2 = u + W_STAGE * z_n + W_STAGE * z_gamma
-    z_next, it_bdf = _newton_stage(f_sub, lu2, t + h, base2, z_gamma, h, cfg)
+    z_next, it_bdf = _newton_stage(f_sub, lu, t + h, base2, z_gamma, h, cfg)
     u_next = base2 + D_STAGE * z_next
 
     eps_raw = raw_error_estimate(z_n, z_gamma, z_next)
@@ -264,7 +239,6 @@ def step(
         z_n=z_n,
         z_gamma=z_gamma,
         z_next=z_next,
-        eps_raw=eps_raw,
         eps_mod=eps_mod,
         newton_iterations=(it_tr, it_bdf),
     )

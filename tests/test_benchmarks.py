@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,8 +16,13 @@ from mrtrbdf2.benchmarks import (
 )
 from mrtrbdf2.errors import MissingSpatialMetadata
 from mrtrbdf2.integrator import integrate, integrate_single_rate
-from mrtrbdf2.ode_problem import OdeProblem, eval_jacobian
+from mrtrbdf2.ode_problem import ActivePartition, OdeProblem, subsystem_jacobian
 from mrtrbdf2.reference import integrate_explicit, integrate_radau
+
+
+def dense_jacobian(problem, t, y):
+    """The m×m Jacobian: analytic if the problem has one, else forward differences."""
+    return subsystem_jacobian(replace(problem, bandwidth=None), t, y, ActivePartition.full(problem.m))
 
 
 def test_gate_function_clamps():
@@ -48,8 +55,8 @@ def test_analytic_jacobians_match_finite_differences(factory, point_fn):
     rng = np.random.default_rng(17)
     y = point_fn(preset.y0.astype(float), rng)
     p_plain = OdeProblem(m=preset.problem.m, rhs=preset.problem.rhs)
-    j_an = eval_jacobian(preset.problem, 7.3, y)
-    j_fd = eval_jacobian(p_plain, 7.3, y)
+    j_an = dense_jacobian(preset.problem, 7.3, y)
+    j_fd = dense_jacobian(p_plain, 7.3, y)
     assert np.max(np.abs(j_an - j_fd)) <= 1e-4 * max(1.0, np.max(np.abs(j_an)))
 
 
@@ -58,7 +65,7 @@ def test_reaction_diffusion_jacobian_is_tridiagonal():
     # profile must vanish exactly beyond the first off-diagonals
     preset = reaction_diffusion(n_cells=30)
     p_plain = OdeProblem(m=30, rhs=preset.problem.rhs)
-    j_fd = eval_jacobian(p_plain, 0.0, preset.y0)
+    j_fd = dense_jacobian(p_plain, 0.0, preset.y0)
     far = np.abs(np.triu(j_fd, 2)) + np.abs(np.tril(j_fd, -2))
     assert np.max(far) <= 1e-12
 
@@ -107,9 +114,9 @@ def test_declared_bandwidth_covers_the_jacobian(factory, states):
     used = np.zeros(kl + ku + 1, dtype=bool)
     for t in (0.0, 7.5, 12.0, 16.0):
         for y in [preset.y0.astype(float)] + ys:
-            j = eval_jacobian(p, t, y)
+            j = dense_jacobian(p, t, y)
             assert not np.any(_outside_band(j, kl, ku))
-            assert not np.any(_outside_band(eval_jacobian(p_plain, t, y), kl, ku))
+            assert not np.any(_outside_band(dense_jacobian(p_plain, t, y), kl, ku))
             used |= [np.any(np.diagonal(j, -k)) for k in range(-ku, kl + 1)]
     # and no wider than the stencil: every declared diagonal is used
     assert np.all(used)
@@ -119,7 +126,7 @@ def test_advection_declares_no_bandwidth():
     # the periodic inflow couples cell 0 to cell n-1
     preset = linear_advection(n_cells=16)
     assert preset.problem.bandwidth is None
-    assert eval_jacobian(preset.problem, 0.0, preset.y0)[0, -1] != 0.0
+    assert dense_jacobian(preset.problem, 0.0, preset.y0)[0, -1] != 0.0
 
 
 def test_reaction_diffusion_steady_states():

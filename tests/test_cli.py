@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from mrtrbdf2.cli import main
+from mrtrbdf2 import benchmarks
+from mrtrbdf2.cli import PRESETS, _build_preset, build_parser, main
 from mrtrbdf2.dense_linalg import matrix_norm, spectral_radius
 from mrtrbdf2.stability import single_rate_amplification
 
@@ -176,6 +177,23 @@ def test_compare_empty_tolerances_exits_2():
     assert main(["compare", "--preset", "advection", "--tols", "", "--out-dir", "/tmp/z"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--tols", "0"],
+    ["compare", "--tols=1e-5,0"],
+    ["compare", "--tols", "nan"],
+    ["run", "--tol-abs", "nan"],
+    ["run", "--tol-abs", "inf"],
+    ["run", "--tol-rel", "nan"],
+    ["run", "--tol-rel", "-1"],
+])
+def test_bad_tolerance_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "bad"
+    preset = ["--preset", "reaction_diffusion", "--cells", "12", "--t-end", "0.05"]
+    assert main(argv[:1] + preset + argv[1:] + ["--out-dir", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_inverter_multirate_wins(tmp_path):
     out = tmp_path / "inv"
     rc = main(["compare", "--preset", "inverter_chain", "--m", "20", "--t-end", "8.0",
@@ -208,3 +226,47 @@ def test_config_file_expansion(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["preset"] == "advection"
     assert summary["config"]["preset_params"]["n_cells"] == 40
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("preset,flag,value", [
+    ("inverter_chain", "--tol-rel", "0.5"),
+    ("inverter_chain", "--cells", "7"),
+    ("inverter_chain", "--ul", "3"),
+    ("inverter_chain", "--ur", "3"),
+    ("reaction_diffusion", "--m", "20"),
+    ("advection", "--ul", "0.5"),
+    ("burgers_shock", "--m", "20"),
+])
+def test_unsupported_preset_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, preset, flag, value):
+    out = tmp_path / "bad"
+    argv = [command, "--preset", preset, flag, value, "--t-end", "0.05", "--out-dir", str(out)]
+    if command == "compare":
+        argv += ["--tols", "1e-4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_flags_reach_the_factory(preset):
+    factory = {"inverter_chain": benchmarks.inverter_chain,
+               "reaction_diffusion": benchmarks.reaction_diffusion,
+               "advection": benchmarks.linear_advection}.get(preset, benchmarks.burgers_riemann)
+    fixed = {"u_left": 0.0, "u_right": 1.0} if preset == "burgers_rarefaction" else {}
+    default = _build_preset(build_parser().parse_args(["run", "--preset", preset]))
+    assert default.params == factory(**fixed).params
+    if preset == "inverter_chain":
+        flags, kw = ["--m", "7", "--tol-abs", "1e-4"], {"m": 7, "tol_abs": 1e-4}
+    else:
+        flags, kw = ["--cells", "12", "--tol-abs", "1e-4", "--tol-rel", "1e-3"], {
+            "n_cells": 12, "tol_abs": 1e-4, "tol_rel": 1e-3}
+        if preset.startswith("burgers"):
+            flags += ["--ul", "0.25"]
+            kw["u_left"] = 0.25
+    got = _build_preset(build_parser().parse_args(["run", "--preset", preset, "--t-end", "0.5", *flags]))
+    want = factory(**{**fixed, **kw, "t_end": 0.5})
+    assert got.params == want.params
+    assert got.t_end == 0.5
+    assert got.config.tolerances == want.config.tolerances

@@ -10,7 +10,6 @@ from mrtrbdf2.integrator import (
     integrate,
     integrate_single_rate,
     macro_step,
-    workload,
 )
 from mrtrbdf2.ode_problem import ActivePartition, OdeProblem
 
@@ -41,7 +40,7 @@ def test_zero_rhs_constant_trajectory():
     assert np.all(traj.states == y0)
     assert trace.rejected_macro == 0
     assert trace.accepted_micro == 0
-    assert workload(trace) == 3 * trace.accepted_macro
+    assert trace.workload() == 3 * trace.accepted_macro
 
 
 def test_scalar_decay_accuracy():
@@ -107,7 +106,7 @@ def test_all_active_refinement_matches_micro_grid_replay():
     part = ActivePartition.full(3)
     for mic in rec.micro:
         assert mic.active.tolist() == [0, 1, 2]
-        res = trbdf2.step(p, mic.t_start, x, mic.h, part=part, frozen=x, cfg=cfg.newton)
+        res = trbdf2.step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton)
         x = res.u_next
     assert np.array_equal(x, out.state)
 
@@ -198,13 +197,13 @@ def test_workload_counts_components():
     expected = 2 * trace.accepted_macro + sum(
         len(mic.active) for rec in trace.records for mic in rec.micro
     )
-    assert workload(trace) == expected
+    assert trace.workload() == expected
 
 
 def test_single_rate_workload_identity():
     p = linear_problem([[-1.0]])
     traj, trace = integrate_single_rate(p, 0.0, 1.0, np.array([1.0]), default_cfg())
-    assert workload(trace) == 1 * trace.accepted_macro
+    assert trace.workload() == 1 * trace.accepted_macro
 
 
 def test_multirate_accuracy_on_random_stiff_systems():
