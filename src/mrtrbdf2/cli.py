@@ -84,6 +84,8 @@ def _build_preset(args) -> BenchmarkPreset:
         raise ValueError(f"preset {args.preset!r} does not take {', '.join(unsupported)}")
     kw.update({flags[dest]: getattr(args, dest) for dest in given})
     preset = getattr(benchmarks, factory)(**kw)
+    if not (np.isfinite(preset.t0) and preset.t0 < preset.t_end < np.inf):
+        raise ValueError(f"--t-end must be finite and after t0 = {preset.t0}, got {preset.t_end!r}")
 
     cfg = preset.config
     ctrl = cfg.controller

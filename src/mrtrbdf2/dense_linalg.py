@@ -47,19 +47,19 @@ def as_matrix(a) -> np.ndarray:
     return _as_matrices(m)
 
 
-def _as_matrices(a) -> np.ndarray:
+def _as_matrices(a, finite: bool = True) -> np.ndarray:
     """Validate and return ``a`` as a float matrix or stack of matrices
-    (..., rows, cols) with finite entries."""
+    (..., rows, cols), with finite entries unless ``finite`` is false."""
     m = np.asarray(a, dtype=float)
     if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if finite and not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
 
-def _as_square(a) -> np.ndarray:
-    m = _as_matrices(a)
+def _as_square(a, finite: bool = True) -> np.ndarray:
+    m = _as_matrices(a, finite)
     if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"matrix must be square, got shape {m.shape}")
     return m
@@ -121,8 +121,10 @@ def lu_factor(a, band: Optional[Tuple[int, int]] = None) -> LuFactorization:
     """
     if band is not None:
         return _band_lu_factor(a, band)
-    m = _as_square(a)
+    m = _as_square(a, finite=False)
     col_scale = np.abs(m).max(axis=-2)
+    if not np.isfinite(col_scale).all():  # max propagates NaN and inf
+        raise ValueError("matrix has non-finite entries")
     lu = _column_major(m.shape)
     lu[...] = m  # dgetrf factors each matrix of this copy in place
     piv = np.empty(m.shape[:-1], dtype=np.int32)

@@ -18,11 +18,21 @@ method, arithmetic path included.
 
 Micro steps always enforce the unscaled tolerance (max η ≤ 1) and are
 rejected and retried with the standard controller proposal otherwise.
+
+The latent context a micro step reads is built once per macro window.  Its
+halo is the latent components that the cohort's rows of f depend on through
+the declared Jacobian bandwidth (every latent component when none is
+declared); only those are reconstructed, into one length-m buffer seeded
+from the tentative endpoint, and only when the stage time changes, so the
+Newton iterations of one stage reuse one reconstruction.  Rows of f outside
+the cohort are computed by the full rhs but never gathered, which keeps every
+gathered value bitwise equal to a full-length reconstruction.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,7 +55,7 @@ from .errors import (
     StepFloorReached,
 )
 from .interpolants import HermiteData, hermite_cubic, linear_interp
-from .ode_problem import ActivePartition, EvalCounter, OdeProblem
+from .ode_problem import ActivePartition, EvalCounter, OdeProblem, latent_halo
 from .trbdf2 import NewtonConfig
 
 INTERPOLANT_KINDS = ("linear", "hermite")
@@ -299,20 +309,38 @@ def _refine(
 
     The cohort stays fixed for the whole macro window, so every refined
     component keeps seeing the refined values of the others up to the window
-    end; only the latent components are read from the tentative step.
+    end; only the latent components are read from the tentative step.  The
+    fixed cohort also fixes the latent halo (:func:`~.ode_problem.latent_halo`),
+    so the interpolant data is sliced to the halo once per window and the
+    context buffer is refreshed on the halo once per distinct stage time.
     """
     ctrl = cfg.controller
     tol = cfg.tolerances
     u_hat = res.u_next
     t_end = t + h_macro
-    hermite = HermiteData.from_step(u, res, h_macro)
+
+    # The active entries are overwritten by the subsystem scatter; the
+    # latent entries outside the halo keep the tentative endpoint, which no
+    # gathered row reads.
+    halo = latent_halo(problem, active)
+    hermite = HermiteData(
+        u_n=u[halo], u_gamma=res.u_gamma[halo], u_next=u_hat[halo],
+        z_n=res.z_n[halo], z_gamma=res.z_gamma[halo], z_next=res.z_next[halo],
+        h=float(h_macro),
+    )
+    context = u_hat.copy()
+    context_time: Optional[float] = None
 
     def latent_context(t_target: float) -> np.ndarray:
-        # The active entries are overwritten by the subsystem scatter.
-        zeta = t_target - t
-        if cfg.interpolant == "hermite":
-            return hermite_cubic(hermite, zeta)
-        return linear_interp(u, u_hat, h_macro, zeta)
+        nonlocal context_time
+        if t_target != context_time:
+            zeta = t_target - t
+            if cfg.interpolant == "hermite":
+                context[halo] = hermite_cubic(hermite, zeta)
+            else:
+                context[halo] = linear_interp(hermite.u_n, hermite.u_next, h_macro, zeta)
+            context_time = t_target
+        return context
 
     x = u[active.indices].copy()
     # The first micro proposal comes from the tentative macro error.
@@ -383,8 +411,8 @@ def integrate(
     are landed on exactly as well, so callers can read states at those times
     without interpolation error.
     """
-    if t_end <= t0:
-        raise ValueError("need t_end > t0")
+    if not (math.isfinite(t0) and math.isfinite(t_end) and t0 < t_end):
+        raise ValueError(f"need finite t0 < t_end, got t0={t0!r}, t_end={t_end!r}")
     y0 = np.asarray(y0, dtype=float)
     counter = EvalCounter()
     trace = IntegrationTrace(m=problem.m)

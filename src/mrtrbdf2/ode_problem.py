@@ -11,7 +11,9 @@ right-hand side ever has to be written by hand.
 The problem layer has one operation of each kind: :func:`eval_subsystem_rhs`
 for f and :func:`subsystem_jacobian` for ∂f/∂y (analytic when the problem has
 one, forward differences otherwise), both on an active subsystem.  The full
-system is the subsystem ``ActivePartition.full(m)``.
+system is the subsystem ``ActivePartition.full(m)``.  :func:`latent_halo`
+names the latent components that an active subsystem's rows can read, so a
+caller may leave the rest of the frozen context stale.
 
 Scalar function-evaluation accounting: a subsystem call costs |active| scalar
 evaluations, so a full call costs m.  Counters are owned by a single
@@ -20,6 +22,7 @@ integration run (see :class:`EvalCounter`), never by the problem.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -56,7 +59,9 @@ class ActivePartition:
         self.indices.setflags(write=False)
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def full(cls, m: int) -> "ActivePartition":
+        # Shared per m: a partition is immutable and its indices read-only.
         return cls(m, np.arange(m))
 
     @classmethod
@@ -167,9 +172,30 @@ def eval_subsystem_rhs(
     if counter is not None:
         counter.add(part.size)
     out = f[part.indices]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteOutput(f"subsystem rhs produced non-finite values at t={t}")
     return out
+
+
+def latent_halo(p: OdeProblem, part: ActivePartition) -> np.ndarray:
+    """Sorted latent components that the active rows of f can depend on.
+
+    Column j feeds row i when −ku ≤ i − j ≤ kl for the declared bandwidth
+    (kl, ku), so the halo is the latent part of [i − kl, i + ku] over the
+    active i.  With no bandwidth declared every latent component is halo.
+    :func:`eval_subsystem_rhs` gathers the same active rows whatever the
+    frozen context holds outside the active set and this halo.
+    """
+    latent = np.ones(p.m, dtype=bool)
+    latent[part.indices] = False
+    if p.bandwidth is None:
+        return np.flatnonzero(latent)
+    kl, ku = p.bandwidth
+    near = np.zeros(p.m, dtype=bool)
+    for k in range(-kl, ku + 1):
+        j = part.indices + k
+        near[j[(j >= 0) & (j < p.m)]] = True
+    return np.flatnonzero(near & latent)
 
 
 def subsystem_jacobian(

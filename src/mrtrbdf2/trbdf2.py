@@ -148,7 +148,7 @@ def _newton_stage(
     growth = 0
     for it in range(1, cfg.max_iterations + 1):
         r = h * f_sub(t_stage, base + D_STAGE * z) - z
-        rnorm = float(np.max(np.abs(r))) if r.size else 0.0
+        rnorm = float(np.abs(r).max()) if r.size else 0.0
         if not math.isfinite(rnorm):
             raise NewtonDivergence(f"non-finite Newton residual at t={t_stage}")
         if rnorm > prev_res:
@@ -162,7 +162,7 @@ def _newton_stage(
         prev_res = rnorm
         delta = lu_solve(lu, r)
         z = z + delta
-        dnorm = float(np.max(np.abs(delta))) if delta.size else 0.0
+        dnorm = float(np.abs(delta).max()) if delta.size else 0.0
         if dnorm <= cfg.tolerance:
             return z, it
     raise NewtonDivergence(f"Newton did not converge in {cfg.max_iterations} iterations at t={t_stage}")

@@ -44,7 +44,8 @@ def test_every_hook_installs_and_every_layer_is_traced(tracing, tmp_path):
         hooks.uninstall()
     assert rc == 0
     assert tracer.missing == {}
-    calls = {name: c for name, (c, _, _) in tracer.by_name().items()}
+    stats = tracer.by_name()
+    calls = {name: c for name, (c, _, _) in stats.items()}
     for name in ("integrator", "trbdf2.step_full", "trbdf2.step_sub",
                  "ode_problem.eval_subsystem_rhs", "ode_problem.subsystem_jacobian",
                  "benchmarks.rhs", "benchmarks.jacobian", "dense_linalg.lu_factor",
@@ -52,3 +53,8 @@ def test_every_hook_installs_and_every_layer_is_traced(tracing, tmp_path):
         assert calls.get(name, 0) > 0, name
     assert tracer.counts["trbdf2.newton_iters"] > 0
     assert tracer.counts["integrator.workload"] > 0
+    # micro steps reconstruct only the latent halo, not all m = 20 components,
+    hermite_calls, _, hermite_len = stats["interpolants.hermite_cubic"]
+    assert hermite_len / hermite_calls < 20
+    # and each of a step's three stage times at most once
+    assert hermite_calls <= 3 * calls["trbdf2.step_sub"]

@@ -194,6 +194,17 @@ def test_bad_tolerance_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["compare", "--tols", "1e-4"]], ids=["run", "compare"])
+@pytest.mark.parametrize("t_end", ["nan", "inf", "0", "-1"])
+def test_bad_t_end_exits_2_and_writes_nothing(tmp_path, capsys, command, t_end):
+    out = tmp_path / "bad"
+    argv = command + ["--preset", "reaction_diffusion", "--cells", "12",
+                      "--t-end", t_end, "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert "--t-end must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_inverter_multirate_wins(tmp_path):
     out = tmp_path / "inv"
     rc = main(["compare", "--preset", "inverter_chain", "--m", "20", "--t-end", "8.0",

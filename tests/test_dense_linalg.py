@@ -184,6 +184,15 @@ def test_band_lu_singular_detection():
         lu_factor(a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_lu_rejects_non_finite_matrix(bad):
+    for i, j in ((0, 0), (2, 1), (1, 2)):
+        a = np.eye(3)
+        a[i, j] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_factor(a)
+
+
 def test_band_lu_rejects_non_finite_and_bad_shapes():
     ab = band_storage(np.eye(3), (1, 1))
     ab[1, 1] = np.nan

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mrtrbdf2 import trbdf2
-from mrtrbdf2.benchmarks import inverter_chain
+from mrtrbdf2.benchmarks import inverter_chain, reaction_diffusion
 from mrtrbdf2.controller import ControllerConfig, ToleranceSpec
 from mrtrbdf2.errors import SafetyCapExceeded, StepFloorReached
 from mrtrbdf2.integrator import (
@@ -11,6 +13,7 @@ from mrtrbdf2.integrator import (
     integrate_single_rate,
     macro_step,
 )
+from mrtrbdf2.interpolants import HermiteData, hermite_cubic, linear_interp
 from mrtrbdf2.ode_problem import ActivePartition, OdeProblem
 
 
@@ -109,6 +112,49 @@ def test_all_active_refinement_matches_micro_grid_replay():
         res = trbdf2.step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton)
         x = res.u_next
     assert np.array_equal(x, out.state)
+
+
+@pytest.mark.parametrize("make", [lambda: inverter_chain(m=12, t_end=8.0),
+                                  lambda: reaction_diffusion(n_cells=16, t_end=0.3)],
+                         ids=["inverter_chain", "reaction_diffusion"])
+@pytest.mark.parametrize("interpolant", ["hermite", "linear"])
+def test_halo_context_matches_full_length_reconstruction_bitwise(make, interpolant):
+    # Micro steps reconstruct only the latent halo; replaying each accepted
+    # micro step against the whole reconstructed state must give the same bits.
+    preset = make()
+    cfg = replace(preset.config, interpolant=interpolant)
+    _, trace = integrate(preset.problem, preset.t0, preset.t_end, preset.y0, cfg,
+                         keep_dense=False)
+    # cohorts past the chain head, so that a halo exists on the driven side
+    refined = [rec for rec in trace.records if rec.micro and rec.active0[0] > 0][:3]
+    assert refined
+    for rec in refined:
+        out = macro_step(preset.problem, rec.t_start, rec.u_start, rec.h, cfg)
+        t, h, u, res = out.record.t_start, out.record.h, out.record.u_start, out.tentative
+        part = ActivePartition(preset.problem.m, out.record.active0)
+        dense = HermiteData.from_step(u, res, h)
+        assert out.record.micro
+
+        def context(ts):
+            if interpolant == "hermite":
+                return hermite_cubic(dense, ts - t)
+            return linear_interp(u, res.u_next, h, ts - t)
+
+        for mic in out.record.micro:
+            step = trbdf2.step(preset.problem, mic.t_start, mic.x_start, mic.h, part,
+                               context, cfg=cfg.newton)
+            assert step.newton_iterations == mic.newton_iterations
+            x = step.u_next
+        assert x.tobytes() == out.state[part.indices].tobytes()
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])
+def test_time_span_must_be_finite_and_forward(t_end):
+    p = linear_problem([[-1.0]])
+    with pytest.raises(ValueError, match="finite t0 < t_end"):
+        integrate(p, 0.0, t_end, np.array([1.0]), default_cfg())
+    with pytest.raises(ValueError, match="finite t0 < t_end"):
+        integrate(p, float("nan"), 1.0, np.array([1.0]), default_cfg())
 
 
 def test_micro_windows_cover_interval():
