@@ -55,7 +55,6 @@ from .trbdf2 import (
     GAMMA,
     NewtonConfig,
     StepResult,
-    TrBdf2Coefficients,
     raw_error_estimate,
     stability_function,
     step,
@@ -68,7 +67,7 @@ __all__ = [
     "GAMMA", "HermiteData", "IntegrationTrace", "LuFactorization", "MacroRecord",
     "MicroRecord", "MultirateConfig", "NewtonConfig", "OdeProblem",
     "RationalMatrixMethod", "StabilitySetup", "StepResult", "ToleranceSpec",
-    "Trajectory", "TrBdf2Coefficients", "accept_global", "eval_subsystem_rhs",
+    "Trajectory", "accept_global", "eval_subsystem_rhs",
     "hermite_cubic", "integrate", "integrate_single_rate", "interpolation_matrix",
     "linear_interp", "lu_factor", "lu_solve", "macro_step", "matrix_norm",
     "model_system", "multirate_amplification", "next_step_size", "norm_sweep",

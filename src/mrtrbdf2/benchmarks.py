@@ -2,7 +2,7 @@
 linear advection and the Burgers Riemann problem, each packaged as an
 :class:`OdeProblem` with a ready-to-run configuration, a reference-solution
 provider and (for the PDE problems) the spatial metadata needed for Courant
-diagnostics and error tables.
+diagnostics.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .controller import ControllerConfig, ToleranceSpec
 from .errors import MissingSpatialMetadata
 from .integrator import IntegrationTrace, MultirateConfig, Trajectory
 from .ode_problem import OdeProblem
-from .reference import integrate_explicit, integrate_radau
+from .reference import integrate_dop853, integrate_radau
 from .trbdf2 import NewtonConfig
 
 
@@ -42,17 +42,14 @@ class BenchmarkPreset:
         """Semidiscrete reference states at the requested times (cached).
 
         The references come from methods independent of TR-BDF2.  Non-stiff
-        problems use the in-package explicit fifth-order pair at rtol 1e-11,
-        atol 1e-13; the stiff presets use SciPy's Radau IIA with the preset's
-        analytic Jacobian (``reference.integrate_radau``).
+        problems use SciPy's explicit DOP853 at rtol 1e-11, atol 1e-13
+        (``reference.integrate_dop853``); the stiff presets use SciPy's Radau
+        IIA with the preset's analytic Jacobian (``reference.integrate_radau``).
         """
         missing = [float(t) for t in times if float(t) not in self._reference_cache]
         if missing:
             if self.reference_kind == "explicit":
-                got = integrate_explicit(
-                    lambda t, y: self.problem.rhs(t, y), self.t0, self.y0, missing,
-                    rtol=1e-11, atol=1e-13,
-                )
+                got = integrate_dop853(self.problem.rhs, self.t0, self.y0, missing)
             else:
                 got = integrate_radau(self.problem.rhs, self.problem.jacobian,
                                       self.t0, self.y0, missing)
@@ -64,7 +61,8 @@ class BenchmarkPreset:
 # Inverter chain
 # ---------------------------------------------------------------------------
 
-def _inverter_input(t: float) -> float:
+def inverter_input(t: float) -> float:
+    """Input applied to the first inverter: a ramp, a plateau and a ramp down."""
     if 5.0 <= t <= 10.0:
         return t - 5.0
     if 10.0 <= t <= 15.0:
@@ -101,13 +99,13 @@ def inverter_chain(
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         drive = np.empty_like(y)
-        drive[0] = _inverter_input(t)
+        drive[0] = inverter_input(t)
         drive[1:] = y[:-1]
         return u_op - y - gamma_stiff * inverter_gate(drive, y, u_thresh)
 
     def jac(t: float, y: np.ndarray) -> np.ndarray:
         drive = np.empty_like(y)
-        drive[0] = _inverter_input(t)
+        drive[0] = inverter_input(t)
         drive[1:] = y[:-1]
         b = np.maximum(drive - y - u_thresh, 0.0)
         a = np.maximum(drive - u_thresh, 0.0)
@@ -136,11 +134,6 @@ def inverter_chain(
         params={"m": m, "gamma": gamma_stiff, "u_op": u_op, "u_thresh": u_thresh,
                 "t_end": t_end, "tol_abs": tol_abs},
     )
-
-
-def input_signal(t: float) -> float:
-    """Input applied to the first inverter (exposed for tests and plots)."""
-    return _inverter_input(t)
 
 
 # ---------------------------------------------------------------------------
@@ -367,44 +360,21 @@ class CourantSample:
     value: float
 
 
-def courant_numbers(trace: IntegrationTrace, preset: BenchmarkPreset) -> List[CourantSample]:
+def courant_numbers(
+    traj: Trajectory, trace: IntegrationTrace, preset: BenchmarkPreset
+) -> List[CourantSample]:
     """Per-step maximum Courant numbers max|f'(u)|·h/Δx.
 
-    Global (macro) steps measure over all cells at the step start; refined
-    (micro) steps measure over the active cells only.
+    Global (macro) steps measure over all cells at the step start, read from
+    the trajectory; refined (micro) steps measure over the active cells only.
     """
     if preset.dx is None or preset.flux_derivative is None:
         raise MissingSpatialMetadata(f"preset {preset.name!r} carries no grid/flux metadata")
     out: List[CourantSample] = []
-    for rec in trace.records:
-        wave = float(np.max(np.abs(preset.flux_derivative(rec.u_start))))
+    for rec, u_start in zip(trace.records, traj.states):
+        wave = float(np.max(np.abs(preset.flux_derivative(u_start))))
         out.append(CourantSample("global", rec.t_start, rec.h, wave * rec.h / preset.dx))
         for mic in rec.micro:
             wave = float(np.max(np.abs(preset.flux_derivative(mic.x_start)))) if mic.x_start.size else 0.0
             out.append(CourantSample("refined", mic.t_start, mic.h, wave * mic.h / preset.dx))
     return out
-
-
-def error_table(
-    traj: Trajectory,
-    preset: BenchmarkPreset,
-    times: Sequence[float],
-) -> List[dict]:
-    """Relative max-norm errors at the given times against the exact solution
-    (when available) and against the semidiscrete reference run."""
-    refs = preset.reference_states(times)
-    rows = []
-    for t in times:
-        num = traj.state_at(float(t))
-        row = {"time": float(t)}
-        if preset.exact_solution is not None:
-            ex = preset.exact_solution(float(t))
-            row["rel_linf_vs_exact"] = float(
-                np.max(np.abs(num - ex)) / np.max(np.abs(ex))
-            )
-        ref = refs[float(t)]
-        row["rel_linf_vs_reference"] = float(
-            np.max(np.abs(num - ref)) / np.max(np.abs(ref))
-        )
-        rows.append(row)
-    return rows

@@ -74,6 +74,8 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def _build_preset(args) -> BenchmarkPreset:
+    if args.preset is None:
+        raise ValueError("--preset is required (on the command line or in --config)")
     factory, flags, defaults = _PRESET_TABLE[args.preset]
     kw = dict(defaults)
     if args.t_end is not None:
@@ -178,7 +180,7 @@ def _write_run_artifacts(
     outputs.append("spacetime.csv")
 
     if preset.dx is not None and preset.flux_derivative is not None:
-        samples = courant_numbers(trace, preset)
+        samples = courant_numbers(traj, trace, preset)
         _write_csv(out_dir / "courant.csv",
                    ["kind", "t_start", "h", "courant"],
                    ([s.kind, s.t_start, s.h, s.value] for s in samples))
@@ -210,7 +212,7 @@ def cmd_run(args, argv: Sequence[str]) -> int:
     t_start = time.perf_counter()
     try:
         traj, trace = driver(preset.problem, preset.t0, preset.t_end, preset.y0,
-                             preset.config, keep_dense=False)
+                             preset.config)
     except ToolkitError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
@@ -297,7 +299,7 @@ def cmd_compare(args, argv: Sequence[str]) -> int:
             t_start = time.perf_counter()
             try:
                 traj, trace = driver(preset0.problem, preset0.t0, preset0.t_end,
-                                     preset0.y0, run_cfg, keep_dense=False)
+                                     preset0.y0, run_cfg)
             except ToolkitError as exc:
                 print(f"integration failed at tol {tol} mode {mode}: {exc}", file=sys.stderr)
                 return EXIT_INTEGRATION
@@ -316,27 +318,22 @@ def cmd_compare(args, argv: Sequence[str]) -> int:
     return EXIT_OK
 
 
-def _apply_config_file(argv: List[str]) -> List[str]:
-    """Expand ``--config FILE`` into flat key=value flags (command line wins)."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        return argv  # argparse will report the missing value
-    extra: List[str] = []
+def _config_flags(path: str) -> List[str]:
+    """The flat ``key = value`` lines of a config file as command-line flags."""
+    flags: List[str] = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        extra.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
-    return argv[:i] + extra + argv[i + 2:]
+        flags.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
+    return flags
 
 
 def _add_preset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", required=True, choices=PRESETS)
+    # Required, but checked by _build_preset, so that a --config file can set it.
+    p.add_argument("--preset", choices=PRESETS, default=None,
+                   help="benchmark preset (required; may come from --config)")
     p.add_argument("--tol-rel", type=float, default=None)
     p.add_argument("--tol-abs", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
@@ -383,16 +380,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    try:
-        expanded = _apply_config_file(raw)
-    except OSError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     parser = build_parser()
     try:
-        args = parser.parse_args(expanded)
+        args = parser.parse_args(raw)
+        if args.config is not None:
+            # The file's flags go right after the subcommand, so any flag
+            # also given on the command line overrides them.
+            at = raw.index(args.command) + 1
+            args = parser.parse_args(raw[:at] + _config_flags(args.config) + raw[at:])
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "run":
         return cmd_run(args, raw)
     if args.command == "stability":

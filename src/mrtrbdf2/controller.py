@@ -21,6 +21,9 @@ from .ode_problem import ActivePartition
 # Error floor guarding the step-size formula against division blow-up.
 EPS_FLOOR = 1e-300
 
+# Convergence order p of TR-BDF2; step proposals scale with ε^(−1/(p+1)).
+ORDER = 2
+
 
 @dataclass(frozen=True)
 class ToleranceSpec:
@@ -47,12 +50,11 @@ class ControllerConfig:
 
     ``delta`` is the refinement threshold (δ = 1 disables partitioning and
     the integrator degenerates to adaptive single-rate stepping); ``nu`` is
-    the safety factor; ``order`` the convergence order p of the solver.
+    the safety factor.
     """
 
     delta: float = 0.1
     nu: float = 0.9
-    order: int = 2
     h_min: float = 1e-12
     h_max: float = math.inf
     max_growth: float = 5.0
@@ -63,8 +65,6 @@ class ControllerConfig:
             raise ValueError("delta must lie in (0, 1]")
         if not (0.0 < self.nu < 1.0):
             raise ValueError("nu must lie in (0, 1)")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
         if not (0.0 < self.h_min < self.h_max):
             raise ValueError("need 0 < h_min < h_max")
         if self.max_growth <= 1.0:
@@ -128,7 +128,7 @@ def next_step_size(
     if eps.shape != u_hat.shape:
         raise DimensionMismatch(f"error shape {eps.shape} != state shape {u_hat.shape}")
     ratios = tol.scale(u_hat) / np.maximum(eps, EPS_FLOOR)
-    factor = cfg.nu * float(np.min(ratios)) ** (1.0 / (cfg.order + 1))
+    factor = cfg.nu * float(np.min(ratios)) ** (1.0 / (ORDER + 1))
     h_new = h_current * factor
     h_new = min(h_new, cfg.h_max, cfg.max_growth * h_current)
     return max(h_new, cfg.h_min)

@@ -31,7 +31,6 @@ gathered value bitwise equal to a full-length reconstruction.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
@@ -108,7 +107,6 @@ class MacroRecord:
     newton_iterations: Tuple[int, int]
     active0: np.ndarray
     micro: List[MicroRecord]
-    u_start: np.ndarray
 
     @property
     def t_end(self) -> float:
@@ -159,41 +157,27 @@ class IntegrationTrace:
 
 
 class Trajectory:
-    """Accepted macro times and states, with dense output into each interval.
+    """Accepted macro times and the states there, the refined values included.
 
-    Dense output uses the tentative macro stages, so between knots the
-    refined components read with tentative-step accuracy; the stored rows at
-    the knots themselves always hold the refined values.
+    Only these knots are stored; a state at any other time is read by passing
+    that time in ``t_samples``, so the integrator lands on it exactly.
     """
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, dense: List[HermiteData]):
+    def __init__(self, times: np.ndarray, states: np.ndarray):
         self.times = times
         self.states = states
-        self.dense = dense
 
     @property
     def t_final(self) -> float:
         return float(self.times[-1])
 
     def state_at(self, t: float) -> np.ndarray:
-        """State at time t: an exact stored row when available, dense output otherwise."""
+        """The stored state at time t; raises ``ValueError`` if none is stored."""
         scale = max(abs(self.times[0]), abs(self.times[-1]), 1.0)
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(float(self.times[i]) - t) <= 1e-9 * scale:
             return self.states[i]
-        return self.sample(t)
-
-    def sample(self, t: float) -> np.ndarray:
-        """Dense-output evaluation inside the macro interval containing t."""
-        if not self.dense:
-            raise ValueError("trajectory was recorded without dense output")
-        if t <= self.times[0]:
-            return self.states[0]
-        if t >= self.times[-1]:
-            return self.states[-1]
-        i = bisect.bisect_right(self.times.tolist(), t) - 1
-        i = min(i, len(self.dense) - 1)
-        return hermite_cubic(self.dense[i], t - float(self.times[i]))
+        raise ValueError(f"no state stored at t={t}; pass it in t_samples to land on it")
 
 
 @dataclass
@@ -276,23 +260,19 @@ def macro_step(
 
     active0 = ActivePartition(problem.m, np.nonzero(refine_mask)[0])
 
-    if active0.is_empty:
-        record = MacroRecord(
-            t_start=t, h=h_cur, eta_max=eta_max, rejections=rejections,
-            newton_iterations=res.newton_iterations, active0=active0.indices,
-            micro=[], u_start=u.copy(),
-        )
-        return MacroOutcome(u_hat, record, (res.z_next, h_cur), h_prop, res)
-
-    micro_records, u_final = _refine(problem, t, u, h_cur, res, active0, cfg, counter)
+    micro_records: List[MicroRecord] = []
+    u_final, fsal_next = u_hat, (res.z_next, h_cur)
+    if not active0.is_empty:
+        micro_records, u_final = _refine(problem, t, u, h_cur, res, active0, cfg, counter)
+        # The refined state differs from the tentative endpoint, so the
+        # tentative final stage derivative is stale; the next step recomputes it.
+        fsal_next = None
     record = MacroRecord(
         t_start=t, h=h_cur, eta_max=eta_max, rejections=rejections,
         newton_iterations=res.newton_iterations, active0=active0.indices,
-        micro=micro_records, u_start=u.copy(),
+        micro=micro_records,
     )
-    # The refined state differs from the tentative endpoint, so the tentative
-    # final stage derivative is stale; the next step recomputes it.
-    return MacroOutcome(u_final, record, None, h_prop, res)
+    return MacroOutcome(u_final, record, fsal_next, h_prop, res)
 
 
 def _refine(
@@ -342,7 +322,7 @@ def _refine(
             context_time = t_target
         return context
 
-    x = u[active.indices].copy()
+    x = u[active.indices]
     # The first micro proposal comes from the tentative macro error.
     eps_src = res.eps_mod[active.indices]
     scale_src = u_hat[active.indices]
@@ -381,10 +361,10 @@ def _refine(
             h_mic = next_step_size(h_eff, mres.eps_mod, mres.u_next, tol, ctrl)
 
         records.append(MicroRecord(
-            t_start=t_k, h=h_eff, active=active.indices.copy(),
+            t_start=t_k, h=h_eff, active=active.indices,
             eta_max=float(np.max(eta_mic)),
             newton_iterations=mres.newton_iterations, rejections=mic_rej,
-            x_start=x.copy(),
+            x_start=x,
         ))
         x = mres.u_next
         t_k = t_tgt
@@ -402,7 +382,6 @@ def integrate(
     y0: np.ndarray,
     cfg: MultirateConfig,
     t_samples: Sequence[float] = (),
-    keep_dense: bool = True,
 ) -> Tuple[Trajectory, IntegrationTrace]:
     """Integrate y' = f(t, y) from t0 to t_end with the multirate driver.
 
@@ -424,7 +403,6 @@ def integrate(
 
     times = [float(t0)]
     states = [y0.copy()]
-    dense: List[HermiteData] = []
 
     t = float(t0)
     u = y0.copy()
@@ -453,11 +431,9 @@ def integrate(
         trace.records.append(out.record)
         times.append(t)
         states.append(u.copy())
-        if keep_dense:
-            dense.append(HermiteData.from_step(out.record.u_start, out.tentative, accepted_h))
 
     trace.scalar_evals = counter.scalar_evals
-    traj = Trajectory(np.asarray(times), np.asarray(states), dense)
+    traj = Trajectory(np.asarray(times), np.asarray(states))
     return traj, trace
 
 
@@ -468,8 +444,7 @@ def integrate_single_rate(
     y0: np.ndarray,
     cfg: MultirateConfig,
     t_samples: Sequence[float] = (),
-    keep_dense: bool = True,
 ) -> Tuple[Trajectory, IntegrationTrace]:
     """Adaptive single-rate TR-BDF2: the multirate driver with δ forced to 1."""
     sr_cfg = replace(cfg, controller=replace(cfg.controller, delta=1.0))
-    return integrate(problem, t0, t_end, y0, sr_cfg, t_samples=t_samples, keep_dense=keep_dense)
+    return integrate(problem, t0, t_end, y0, sr_cfg, t_samples=t_samples)

@@ -75,20 +75,6 @@ class HermiteData:
     z_gamma: np.ndarray
     z_next: np.ndarray
     h: float
-    gamma: float = GAMMA
-
-    @classmethod
-    def from_step(cls, u_n: np.ndarray, result, h: float) -> "HermiteData":
-        """Build from a step start state and a :class:`~mrtrbdf2.trbdf2.StepResult`."""
-        return cls(
-            u_n=np.asarray(u_n, dtype=float),
-            u_gamma=result.u_gamma,
-            u_next=result.u_next,
-            z_n=result.z_n,
-            z_gamma=result.z_gamma,
-            z_next=result.z_next,
-            h=float(h),
-        )
 
 
 def hermite_cubic(d: HermiteData, zeta: float) -> np.ndarray:
@@ -99,7 +85,7 @@ def hermite_cubic(d: HermiteData, zeta: float) -> np.ndarray:
     step end, so the two branches join with a continuous first derivative.
     """
     zeta = _check_offset(zeta, d.h)
-    g, h = d.gamma, d.h
+    g, h = GAMMA, d.h
     if zeta <= g * h:
         a0 = d.u_n
         a1 = g * d.z_n

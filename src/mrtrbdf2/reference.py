@@ -1,93 +1,58 @@
 """Reference integrators, independent of the TR-BDF2 method under test.
 
-An adaptive Dormand-Prince 5(4) embedded pair run at very tight tolerances
-produces semidiscrete reference solutions for the non-stiff benchmark
-problems; SciPy's Radau IIA method with an analytic Jacobian does the same
-for the stiff ones.  Both land exactly on every requested output time.
+SciPy's explicit Dormand-Prince 8(5,3) pair (DOP853) run at very tight
+tolerances produces semidiscrete reference solutions for the non-stiff
+benchmark problems; SciPy's Radau IIA method with an analytic Jacobian does
+the same for the stiff ones.  Both restart at every requested output time, so
+each returned state is a step endpoint rather than dense output.
+
+SciPy's ``integrate`` and ``sparse`` modules are imported inside the
+functions: together they take about a quarter second to import, and only
+reference runs need them.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Sequence
 
 import numpy as np
 
 from .errors import StepFloorReached
 
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
-
-def integrate_explicit(
+def _restarted(
     f: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
     y0: np.ndarray,
     t_record: Sequence[float],
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-    h0: float = 1e-4,
-    h_min: float = 1e-14,
-    max_steps: int = 10_000_000,
+    **options,
 ) -> Dict[float, np.ndarray]:
-    """Integrate to every time in ``t_record`` (sorted ascending internally),
-    returning the state at each of them keyed by the requested value."""
-    targets = sorted(float(s) for s in t_record)
-    if not targets:
-        return {}
-    y = np.array(y0, dtype=float)
-    t = float(t0)
-    out: Dict[float, np.ndarray] = {}
-    if targets[0] <= t0:
+    """``solve_ivp`` from one recorded time to the next, keyed by time."""
+    from scipy.integrate import solve_ivp
+
+    targets = sorted({float(s) for s in t_record})
+    if targets and targets[0] <= t0:
         raise ValueError("record times must exceed t0")
-    h = min(h0, targets[0] - t0)
-    k = np.empty((7, y.size))
-    fsal = f(t, y)
+    t, y = float(t0), np.array(y0, dtype=float)
+    out: Dict[float, np.ndarray] = {}
     for tgt in targets:
-        nsteps = 0
-        while tgt - t > 1e-14 * max(abs(tgt), 1.0):
-            nsteps += 1
-            if nsteps > max_steps:
-                raise StepFloorReached("reference integrator exceeded its step budget")
-            h_eff = min(h, tgt - t)
-            landed = h_eff == tgt - t
-            k[0] = fsal
-            for i in range(1, 7):
-                acc = np.zeros_like(y)
-                for j, aij in enumerate(_A[i]):
-                    if aij:
-                        acc += aij * k[j]
-                k[i] = f(t + _C[i] * h_eff, y + h_eff * acc)
-            y_new = y + h_eff * (
-                _B5[0] * k[0] + _B5[2] * k[2] + _B5[3] * k[3] + _B5[4] * k[4] + _B5[5] * k[5]
-            )
-            err_vec = h_eff * (
-                _ERR[0] * k[0] + _ERR[2] * k[2] + _ERR[3] * k[3]
-                + _ERR[4] * k[4] + _ERR[5] * k[5] + _ERR[6] * k[6]
-            )
-            sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
-            if err <= 1.0:
-                t = tgt if landed else t + h_eff
-                y = y_new
-                fsal = k[6].copy()
-            elif h_eff <= h_min:
-                raise StepFloorReached("reference integrator hit its minimum step size")
-            factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
-            h = h_eff * min(5.0, max(0.2, factor))
-        out[tgt] = y.copy()
+        sol = solve_ivp(f, (t, tgt), y, **options)
+        if not sol.success:
+            raise StepFloorReached(f"{options['method']} reference failed: {sol.message}")
+        t, y = tgt, sol.y[:, -1].copy()
+        out[tgt] = y
     return out
+
+
+def integrate_dop853(
+    f: Callable[[float, np.ndarray], np.ndarray],
+    t0: float,
+    y0: np.ndarray,
+    t_record: Sequence[float],
+) -> Dict[float, np.ndarray]:
+    """States at every time in ``t_record`` from SciPy's DOP853 at rtol 1e-11,
+    atol 1e-13."""
+    return _restarted(f, t0, y0, t_record, method="DOP853", rtol=1e-11, atol=1e-13)
 
 
 def integrate_radau(
@@ -99,32 +64,17 @@ def integrate_radau(
 ) -> Dict[float, np.ndarray]:
     """States at every time in ``t_record`` from SciPy's Radau IIA method.
 
-    The integration restarts at each recorded time, so every returned state
-    is a step endpoint rather than dense output.  The Jacobian is handed
-    over in sparse form, so Radau factors it with the single-threaded
-    SuperLU: as fast as dense LU for the banded preset Jacobians, and
-    unaffected by other processes on the same cores, which slowed the
-    threaded dense factorization down by more than 2x.
+    The Jacobian is handed over in sparse form, so Radau factors it with the
+    single-threaded SuperLU: as fast as dense LU for the banded preset
+    Jacobians, and unaffected by other processes on the same cores, which
+    slowed the threaded dense factorization down by more than 2x.
     """
-    # Imported here: scipy.integrate takes about a quarter second to import,
-    # and only reference runs need it.
     import scipy.sparse
-    from scipy.integrate import solve_ivp
 
     def sparse_jac(t: float, y: np.ndarray):
         return scipy.sparse.csc_matrix(jac(t, y))
 
-    targets = sorted({float(s) for s in t_record})
-    if targets and targets[0] <= t0:
-        raise ValueError("record times must exceed t0")
-    t, y = float(t0), np.array(y0, dtype=float)
-    out: Dict[float, np.ndarray] = {}
-    for tgt in targets:
-        # rtol 1e-10 agrees with rtol 1e-12 to about 1e-9 on the inverter
-        # chain, far below the TR-BDF2 errors the reference is used to measure.
-        sol = solve_ivp(f, (t, tgt), y, method="Radau", jac=sparse_jac, rtol=1e-10, atol=1e-12)
-        if not sol.success:
-            raise StepFloorReached(f"Radau reference failed: {sol.message}")
-        t, y = tgt, sol.y[:, -1].copy()
-        out[tgt] = y
-    return out
+    # rtol 1e-10 agrees with rtol 1e-12 to about 1e-9 on the inverter chain,
+    # far below the TR-BDF2 errors the reference is used to measure.
+    return _restarted(f, t0, y0, t_record, method="Radau", jac=sparse_jac,
+                      rtol=1e-10, atol=1e-12)

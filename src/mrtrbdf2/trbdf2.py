@@ -36,23 +36,10 @@ GAMMA = 2.0 - math.sqrt(2.0)
 D_STAGE = GAMMA / 2.0
 W_STAGE = math.sqrt(2.0) / 4.0
 
-
-@dataclass(frozen=True)
-class TrBdf2Coefficients:
-    """Method constants: γ = 2−√2, d = γ/2, w = √2/4, main and embedded weights."""
-
-    gamma: float = GAMMA
-    d: float = D_STAGE
-    w: float = W_STAGE
-    b: Tuple[float, float, float] = (W_STAGE, W_STAGE, D_STAGE)
-    b_star: Tuple[float, float, float] = (
-        (1.0 - W_STAGE) / 3.0,
-        (3.0 * W_STAGE + 1.0) / 3.0,
-        D_STAGE / 3.0,
-    )
-
-
-COEFFS = TrBdf2Coefficients()
+# Main weights b and embedded third-order weights b* over (z_n, z_γ, z_{n+1}).
+WEIGHTS = (W_STAGE, W_STAGE, D_STAGE)
+EMBEDDED_WEIGHTS = ((1.0 - W_STAGE) / 3.0, (3.0 * W_STAGE + 1.0) / 3.0, D_STAGE / 3.0)
+_ERROR_WEIGHTS = tuple(bs - b for bs, b in zip(EMBEDDED_WEIGHTS, WEIGHTS))
 
 
 @dataclass
@@ -106,20 +93,15 @@ def stability_function(z: complex) -> complex:
     return num / den
 
 
-def raw_error_estimate(
-    z_n: np.ndarray,
-    z_gamma: np.ndarray,
-    z_next: np.ndarray,
-    c: TrBdf2Coefficients = COEFFS,
-) -> np.ndarray:
+def raw_error_estimate(z_n: np.ndarray, z_gamma: np.ndarray, z_next: np.ndarray) -> np.ndarray:
     """Embedded-method error estimate Σ (bᵢ* − bᵢ) zᵢ over the three stages."""
     z_n = np.asarray(z_n, dtype=float)
     z_gamma = np.asarray(z_gamma, dtype=float)
     z_next = np.asarray(z_next, dtype=float)
     if not (z_n.shape == z_gamma.shape == z_next.shape):
         raise DimensionMismatch("stage vectors must share one shape")
-    db = [c.b_star[i] - c.b[i] for i in range(3)]
-    return db[0] * z_n + db[1] * z_gamma + db[2] * z_next
+    e_n, e_gamma, e_next = _ERROR_WEIGHTS
+    return e_n * z_n + e_gamma * z_gamma + e_next * z_next
 
 
 def _factor_newton_matrix(

@@ -2,8 +2,9 @@
 one PASS/FAIL line.
 
 Accuracy criteria compare against references computed by a method other than
-TR-BDF2 (SciPy Radau for the stiff presets, an explicit fifth-order pair for
-the semidiscrete PDEs), and assert what the method promises at desk scale:
+TR-BDF2 (SciPy Radau for the stiff presets, SciPy's explicit DOP853 for the
+semidiscrete PDEs), and read every state at a time the integrator landed on
+exactly.  They assert what the method promises at desk scale:
   * 07b: on the inverter chain, multirate is no less accurate than
     single-rate at the same tolerance (within the factor 1.5 that criterion
     08 also uses), and single-rate error falls from tau_a = 1e-5 to 1e-6.
@@ -51,9 +52,9 @@ def inverter_runs():
     t0 = time.perf_counter()
     preset = inverter_chain(m=100, t_end=20.0, tol_abs=1e-5)
     ref = preset.reference_states([20.0])[20.0]
-    traj_m, tr_m = integrate(preset.problem, 0.0, 20.0, preset.y0, preset.config, keep_dense=False)
+    traj_m, tr_m = integrate(preset.problem, 0.0, 20.0, preset.y0, preset.config)
     traj_s, tr_s = integrate_single_rate(preset.problem, 0.0, 20.0, preset.y0,
-                                         preset.config, keep_dense=False)
+                                         preset.config)
     return dict(preset=preset, ref=ref, traj_m=traj_m, tr_m=tr_m, traj_s=traj_s,
                 tr_s=tr_s, elapsed=time.perf_counter() - t0)
 
@@ -64,9 +65,9 @@ def burgers_shock_runs():
     preset = burgers_riemann(n_cells=400, u_left=1.0, u_right=0.0)
     ts = [0.2, 0.5, 0.8]
     traj_m, tr_m = integrate(preset.problem, 0.0, 0.9, preset.y0, preset.config,
-                             t_samples=ts, keep_dense=False)
+                             t_samples=ts)
     traj_s, tr_s = integrate_single_rate(preset.problem, 0.0, 0.9, preset.y0,
-                                         preset.config, t_samples=ts, keep_dense=False)
+                                         preset.config, t_samples=ts)
     return dict(preset=preset, ts=ts, traj_m=traj_m, tr_m=tr_m, traj_s=traj_s,
                 tr_s=tr_s, elapsed=time.perf_counter() - t0)
 
@@ -76,9 +77,9 @@ def burgers_rarefaction_runs():
     t0 = time.perf_counter()
     preset = burgers_riemann(n_cells=400, u_left=0.0, u_right=1.0)
     traj_m, tr_m = integrate(preset.problem, 0.0, 0.6, preset.y0, preset.config,
-                             t_samples=[0.5], keep_dense=False)
+                             t_samples=[0.5])
     traj_s, tr_s = integrate_single_rate(preset.problem, 0.0, 0.6, preset.y0,
-                                         preset.config, t_samples=[0.5], keep_dense=False)
+                                         preset.config, t_samples=[0.5])
     return dict(preset=preset, traj_m=traj_m, tr_m=tr_m, traj_s=traj_s, tr_s=tr_s,
                 elapsed=time.perf_counter() - t0)
 
@@ -89,7 +90,7 @@ def advection_run():
     preset = linear_advection(n_cells=400)
     ts = [0.2, 2.8]
     traj_m, tr_m = integrate(preset.problem, 0.0, 3.0, preset.y0, preset.config,
-                             t_samples=ts, keep_dense=False)
+                             t_samples=ts)
     ref02 = preset.reference_states([0.2])[0.2]
     return dict(preset=preset, traj_m=traj_m, tr_m=tr_m, ref02=ref02,
                 elapsed=time.perf_counter() - t0)
@@ -254,8 +255,7 @@ def test_criterion_07b_inverter_accuracy(inverter_runs):
     err_m = float(np.max(np.abs(r["traj_m"].states[-1] - r["ref"])))
     err_s = float(np.max(np.abs(r["traj_s"].states[-1] - r["ref"])))
     fine = inverter_chain(m=100, t_end=20.0, tol_abs=1e-6)
-    traj_f, _ = integrate_single_rate(fine.problem, 0.0, 20.0, fine.y0, fine.config,
-                                      keep_dense=False)
+    traj_f, _ = integrate_single_rate(fine.problem, 0.0, 20.0, fine.y0, fine.config)
     err_f = float(np.max(np.abs(traj_f.states[-1] - r["ref"])))
     ok = err_m <= 1.5 * err_s and err_f < err_s
     assert report("07b inverter accuracy", ok,

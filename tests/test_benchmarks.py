@@ -7,17 +7,16 @@ import scipy.linalg
 from mrtrbdf2.benchmarks import (
     burgers_riemann,
     courant_numbers,
-    error_table,
-    input_signal,
     inverter_chain,
     inverter_gate,
+    inverter_input,
     linear_advection,
     reaction_diffusion,
 )
 from mrtrbdf2.errors import MissingSpatialMetadata
 from mrtrbdf2.integrator import integrate, integrate_single_rate
 from mrtrbdf2.ode_problem import ActivePartition, OdeProblem, subsystem_jacobian
-from mrtrbdf2.reference import integrate_explicit, integrate_radau
+from mrtrbdf2.reference import integrate_dop853, integrate_radau
 
 
 def dense_jacobian(problem, t, y):
@@ -31,11 +30,11 @@ def test_gate_function_clamps():
 
 
 def test_input_signal_pieces():
-    assert input_signal(7.5) == pytest.approx(2.5)
-    assert input_signal(12.0) == pytest.approx(5.0)
-    assert input_signal(16.0) == pytest.approx(2.5)
-    assert input_signal(20.0) == 0.0
-    assert input_signal(2.0) == 0.0
+    assert inverter_input(7.5) == pytest.approx(2.5)
+    assert inverter_input(12.0) == pytest.approx(5.0)
+    assert inverter_input(16.0) == pytest.approx(2.5)
+    assert inverter_input(20.0) == 0.0
+    assert inverter_input(2.0) == 0.0
 
 
 def test_inverter_initial_state_near_equilibrium():
@@ -77,7 +76,7 @@ def test_inverter_jacobian_equals_the_loop_form_bitwise():
     rng = np.random.default_rng(5)
     for t in (0.0, 7.5, 12.0, 16.0):
         y = rng.uniform(0.0, 5.0, size=m)
-        drive = np.concatenate(([input_signal(t)], y[:-1]))
+        drive = np.concatenate(([inverter_input(t)], y[:-1]))
         b = np.maximum(drive - y - u, 0.0)
         dg_dy = 2.0 * np.maximum(drive - u, 0.0) - 2.0 * b
         ref = np.zeros((m, m))
@@ -200,18 +199,18 @@ def test_burgers_interior_mass_telescoping():
 def test_courant_requires_spatial_metadata():
     preset = inverter_chain(m=5)
     traj, trace = integrate_single_rate(
-        preset.problem, 0.0, 0.2, preset.y0, preset.config, keep_dense=False
+        preset.problem, 0.0, 0.2, preset.y0, preset.config
     )
     with pytest.raises(MissingSpatialMetadata):
-        courant_numbers(trace, preset)
+        courant_numbers(traj, trace, preset)
 
 
 def test_courant_advection_unit():
     preset = linear_advection(n_cells=32)
     traj, trace = integrate_single_rate(
-        preset.problem, 0.0, 0.5, preset.y0, preset.config, keep_dense=False
+        preset.problem, 0.0, 0.5, preset.y0, preset.config
     )
-    samples = courant_numbers(trace, preset)
+    samples = courant_numbers(traj, trace, preset)
     assert len(samples) == trace.accepted_macro
     for s, rec in zip(samples, trace.records):
         assert s.kind == "global"
@@ -220,9 +219,8 @@ def test_courant_advection_unit():
 
 def test_courant_refined_smaller_than_global_on_shock():
     preset = burgers_riemann(n_cells=100, u_left=1.0, u_right=0.0, t_end=0.3)
-    traj, trace = integrate(preset.problem, 0.0, 0.3, preset.y0, preset.config,
-                            keep_dense=False)
-    samples = courant_numbers(trace, preset)
+    traj, trace = integrate(preset.problem, 0.0, 0.3, preset.y0, preset.config)
+    samples = courant_numbers(traj, trace, preset)
     glb = [s.value for s in samples if s.kind == "global"]
     ref = [s.value for s in samples if s.kind == "refined"]
     assert ref, "shock run is expected to refine"
@@ -232,38 +230,22 @@ def test_courant_refined_smaller_than_global_on_shock():
 def test_courant_zero_state():
     preset = burgers_riemann(n_cells=16, u_left=0.0, u_right=0.0)
     traj, trace = integrate_single_rate(
-        preset.problem, 0.0, 0.1, preset.y0, preset.config, keep_dense=False
+        preset.problem, 0.0, 0.1, preset.y0, preset.config
     )
-    samples = courant_numbers(trace, preset)
+    samples = courant_numbers(traj, trace, preset)
     assert all(s.value == 0.0 for s in samples)
-
-
-def test_error_table_definition():
-    preset = linear_advection(n_cells=32)
-    traj, _ = integrate_single_rate(
-        preset.problem, 0.0, 0.4, preset.y0, preset.config,
-        t_samples=[0.2], keep_dense=False,
-    )
-    num = traj.state_at(0.2)
-    # numerical == reference -> zero; reference scaled by 2 -> one half
-    preset._reference_cache[0.2] = num.copy()
-    rows = error_table(traj, preset, [0.2])
-    assert rows[0]["rel_linf_vs_reference"] == 0.0
-    preset._reference_cache[0.2] = 2.0 * num
-    rows = error_table(traj, preset, [0.2])
-    assert rows[0]["rel_linf_vs_reference"] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_inverter_states_stay_bounded():
     preset = inverter_chain(m=12, t_end=8.0)
-    traj, _ = integrate(preset.problem, 0.0, 8.0, preset.y0, preset.config, keep_dense=False)
+    traj, _ = integrate(preset.problem, 0.0, 8.0, preset.y0, preset.config)
     assert traj.states.min() >= -0.1
     assert traj.states.max() <= 5.1
 
 
 def test_reaction_diffusion_invariant_region():
     preset = reaction_diffusion(n_cells=40, t_end=1.0)
-    traj, _ = integrate(preset.problem, 0.0, 1.0, preset.y0, preset.config, keep_dense=False)
+    traj, _ = integrate(preset.problem, 0.0, 1.0, preset.y0, preset.config)
     assert traj.states.min() >= -0.01
     assert traj.states.max() <= 1.01
 
@@ -275,7 +257,7 @@ def test_radau_and_explicit_references_agree_with_the_exact_solution():
     y0 = np.array([1.0, 1.0])
     times = [1.0, 0.3, 1.0]
     rad = integrate_radau(lambda t, y: a @ y, lambda t, y: a, 0.0, y0, times)
-    exp = integrate_explicit(lambda t, y: a @ y, 0.0, y0, times)
+    exp = integrate_dop853(lambda t, y: a @ y, 0.0, y0, times)
     for t in (0.3, 1.0):
         exact = scipy.linalg.expm(a * t) @ y0
         assert np.max(np.abs(rad[t] - exact)) <= 1e-8

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrtrbdf2
 from mrtrbdf2 import benchmarks
 from mrtrbdf2.cli import PRESETS, _build_preset, build_parser, main
 from mrtrbdf2.dense_linalg import matrix_norm, spectral_radius
@@ -237,6 +242,85 @@ def test_config_file_expansion(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["preset"] == "advection"
     assert summary["config"]["preset_params"]["n_cells"] == 40
+
+
+# Every spelling of --config that argparse accepts: a separate or an attached
+# value, after the full flag or an unambiguous prefix of it.
+CONFIG_SPELLINGS = {
+    "separate": lambda path: ["--config", path],
+    "attached": lambda path: [f"--config={path}"],
+    "prefix": lambda path: ["--conf", path],
+    "prefix-attached": lambda path: [f"--conf={path}"],
+}
+# Per command: a valid invocation, and a config line it must reject.
+CONFIG_COMMANDS = {
+    "run": (["run", "--preset", "reaction_diffusion", "--cells", "12", "--t-end", "0.05"],
+            "tol_abs = nan\n"),
+    "stability": (["stability", "--system", "sys1"], "points = 0\n"),
+}
+
+
+@pytest.mark.parametrize("spelling", CONFIG_SPELLINGS)
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("content", ["bad", "undecodable", "missing"])
+def test_unusable_config_file_exits_2_in_every_spelling(tmp_path, capsys, command,
+                                                       spelling, content):
+    argv, bad_line = CONFIG_COMMANDS[command]
+    cfgfile = tmp_path / "flags.cfg"
+    if content == "bad":
+        cfgfile.write_text(bad_line)
+    elif content == "undecodable":
+        cfgfile.write_bytes(b"points = \xff\n")
+    out = tmp_path / "out"
+    assert main(argv + CONFIG_SPELLINGS[spelling](str(cfgfile)) + ["--out-dir", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", CONFIG_SPELLINGS)
+def test_run_config_file_is_read_in_every_spelling_and_the_command_line_wins(tmp_path, spelling):
+    cfgfile = tmp_path / "flags.cfg"
+    cfgfile.write_text("preset = reaction_diffusion\ncells = 12\nt_end = 0.02\n")
+    out = tmp_path / "out"
+    argv = ["run", "--cells", "10", *CONFIG_SPELLINGS[spelling](str(cfgfile)), "--out-dir", str(out)]
+    assert main(argv) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config["preset"] == "reaction_diffusion"
+    assert config["t_end"] == 0.02
+    assert config["preset_params"]["n_cells"] == 10
+
+
+@pytest.mark.parametrize("spelling", CONFIG_SPELLINGS)
+def test_stability_config_file_is_read_in_every_spelling_and_the_command_line_wins(tmp_path,
+                                                                                 spelling):
+    cfgfile = tmp_path / "flags.cfg"
+    cfgfile.write_text("system = sys1\nkind = linear\npoints = 3\n")
+    out = tmp_path / "out"
+    argv = ["stability", "--points", "4", *CONFIG_SPELLINGS[spelling](str(cfgfile)),
+            "--out-dir", str(out)]
+    assert main(argv) == 0
+    rows = read_csv(out / "amplification.csv")
+    assert len(rows) == 4
+    assert {r["kind"] for r in rows} == {"linear"}
+
+
+def test_run_without_preset_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--out-dir", str(out)]) == 2
+    assert "--preset is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_and_sparse_unloaded():
+    # Only reference runs need them, and importing them would add to the
+    # start-up time of every command.
+    code = ("import sys, mrtrbdf2.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules))")
+    src = str(Path(mrtrbdf2.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

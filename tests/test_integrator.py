@@ -123,16 +123,17 @@ def test_halo_context_matches_full_length_reconstruction_bitwise(make, interpola
     # micro step against the whole reconstructed state must give the same bits.
     preset = make()
     cfg = replace(preset.config, interpolant=interpolant)
-    _, trace = integrate(preset.problem, preset.t0, preset.t_end, preset.y0, cfg,
-                         keep_dense=False)
+    traj, trace = integrate(preset.problem, preset.t0, preset.t_end, preset.y0, cfg)
     # cohorts past the chain head, so that a halo exists on the driven side
-    refined = [rec for rec in trace.records if rec.micro and rec.active0[0] > 0][:3]
+    refined = [k for k, rec in enumerate(trace.records) if rec.micro and rec.active0[0] > 0][:3]
     assert refined
-    for rec in refined:
-        out = macro_step(preset.problem, rec.t_start, rec.u_start, rec.h, cfg)
-        t, h, u, res = out.record.t_start, out.record.h, out.record.u_start, out.tentative
+    for k in refined:
+        rec, u = trace.records[k], traj.states[k]
+        out = macro_step(preset.problem, rec.t_start, u, rec.h, cfg)
+        t, h, res = out.record.t_start, out.record.h, out.tentative
         part = ActivePartition(preset.problem.m, out.record.active0)
-        dense = HermiteData.from_step(u, res, h)
+        dense = HermiteData(u_n=u, u_gamma=res.u_gamma, u_next=res.u_next,
+                            z_n=res.z_n, z_gamma=res.z_gamma, z_next=res.z_next, h=h)
         assert out.record.micro
 
         def context(ts):
@@ -175,8 +176,7 @@ def test_nested_active_sets():
     # On this short inverter chain a cohort re-partitioned after each micro
     # step would shrink within some windows.
     preset = inverter_chain(m=10, t_end=8.0, tol_abs=1e-5)
-    traj, trace = integrate(preset.problem, 0.0, 8.0, preset.y0, preset.config,
-                            keep_dense=False)
+    traj, trace = integrate(preset.problem, 0.0, 8.0, preset.y0, preset.config)
     assert any(rec.micro for rec in trace.records)
     for rec in trace.records:
         for mic in rec.micro:
@@ -206,11 +206,15 @@ def test_trajectory_times_strictly_increasing_and_exact_landings():
         assert np.min(np.abs(traj.times - s)) == 0.0
 
 
-def test_trajectory_dense_output():
+def test_state_at_reads_stored_rows_only():
     p = linear_problem([[-1.0]])
-    traj, _ = integrate(p, 0.0, 1.0, np.array([1.0]), default_cfg())
-    for t in (0.17, 0.43, 0.88):
-        assert abs(traj.sample(t)[0] - np.exp(-t)) <= 5e-5
+    traj, _ = integrate(p, 0.0, 1.0, np.array([1.0]), default_cfg(), t_samples=[0.43])
+    i = int(np.flatnonzero(traj.times == 0.43)[0])
+    assert traj.state_at(0.43).tobytes() == traj.states[i].tobytes()
+    assert abs(traj.state_at(0.43)[0] - np.exp(-0.43)) <= 5e-5
+    assert np.array_equal(traj.state_at(1.0), traj.states[-1])
+    with pytest.raises(ValueError, match="t_samples"):
+        traj.state_at(0.17)
 
 
 def test_step_floor_reached():

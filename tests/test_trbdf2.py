@@ -7,8 +7,10 @@ import pytest
 from mrtrbdf2.errors import NewtonDivergence, PoleEncountered
 from mrtrbdf2.ode_problem import ActivePartition, OdeProblem
 from mrtrbdf2.trbdf2 import (
-    COEFFS,
     D_STAGE,
+    EMBEDDED_WEIGHTS,
+    GAMMA,
+    WEIGHTS,
     NewtonConfig,
     raw_error_estimate,
     stability_function,
@@ -34,7 +36,7 @@ def eps_raw(res):
 _A_TABLEAU = np.array([
     [0.0, 0.0, 0.0],
     [D_STAGE, D_STAGE, 0.0],
-    [COEFFS.b[0], COEFFS.b[1], COEFFS.b[2]],
+    [WEIGHTS[0], WEIGHTS[1], WEIGHTS[2]],
 ])
 
 
@@ -44,9 +46,9 @@ def tableau_amplification(z, weights):
 
 
 def test_coefficients_sum_to_one():
-    assert abs(sum(COEFFS.b) - 1.0) <= 1e-15
-    assert abs(sum(COEFFS.b_star) - 1.0) <= 1e-15
-    assert 0.0 < COEFFS.gamma < 1.0
+    assert abs(sum(WEIGHTS) - 1.0) <= 1e-15
+    assert abs(sum(EMBEDDED_WEIGHTS) - 1.0) <= 1e-15
+    assert 0.0 < GAMMA < 1.0
 
 
 def test_step_zero_rhs():
@@ -130,7 +132,7 @@ def test_raw_error_estimate_matches_embedded_difference():
     lam, h, u0 = -2.0, 0.37, 1.3
     res = step(scalar_problem(lam), 0.0, np.array([u0]), h, cfg=TIGHT)
     z = h * lam
-    expected = (tableau_amplification(z, COEFFS.b_star) - tableau_amplification(z, COEFFS.b)) * u0
+    expected = (tableau_amplification(z, EMBEDDED_WEIGHTS) - tableau_amplification(z, WEIGHTS)) * u0
     assert eps_raw(res)[0] == pytest.approx(expected, rel=1e-9)
 
 
