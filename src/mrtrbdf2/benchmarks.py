@@ -13,12 +13,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .controller import ControllerConfig, ToleranceSpec
+from .controller import ToleranceSpec
 from .errors import MissingSpatialMetadata
 from .integrator import IntegrationTrace, MultirateConfig, Trajectory
 from .ode_problem import OdeProblem
 from .reference import integrate_dop853, integrate_radau
-from .trbdf2 import NewtonConfig
 
 
 @dataclass
@@ -118,13 +117,7 @@ def inverter_chain(
 
     y0 = np.full(m, 5.0)
     y0[1::2] = 6.247e-3  # even positions in 1-based numbering
-    cfg = MultirateConfig(
-        tolerances=ToleranceSpec(0.0, tol_abs),
-        controller=ControllerConfig(),
-        interpolant="hermite",
-        h0=h0,
-        newton=NewtonConfig(),
-    )
+    cfg = MultirateConfig(ToleranceSpec(0.0, tol_abs), h0=h0)
     # each inverter is driven by its upstream neighbour only
     problem = OdeProblem(m=m, rhs=rhs, jacobian=jac, name=f"inverter_chain_m{m}",
                          bandwidth=(min(1, m - 1), 0))
@@ -179,13 +172,7 @@ def reaction_diffusion(
         j[idx + 1, idx] = diff
         return j
 
-    cfg = MultirateConfig(
-        tolerances=ToleranceSpec(tol_rel, tol_abs),
-        controller=ControllerConfig(),
-        interpolant="hermite",
-        h0=h0,
-        newton=NewtonConfig(),
-    )
+    cfg = MultirateConfig(ToleranceSpec(tol_rel, tol_abs), h0=h0)
     problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"reaction_diffusion_n{n_cells}",
                          bandwidth=(1, 1))
     return BenchmarkPreset(
@@ -242,13 +229,7 @@ def linear_advection(
         shifted = np.mod(x - t - lo, span) + lo
         return profile(shifted)
 
-    cfg = MultirateConfig(
-        tolerances=ToleranceSpec(tol_rel, tol_abs),
-        controller=ControllerConfig(),
-        interpolant="hermite",
-        h0=h0,
-        newton=NewtonConfig(),
-    )
+    cfg = MultirateConfig(ToleranceSpec(tol_rel, tol_abs), h0=h0)
     # no bandwidth: the periodic inflow puts an entry in the corner J[0, n-1]
     problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"advection_n{n_cells}")
     return BenchmarkPreset(
@@ -329,13 +310,7 @@ def burgers_riemann(
         def exact(t: float) -> np.ndarray:
             return np.full_like(x, u_left)
 
-    cfg = MultirateConfig(
-        tolerances=ToleranceSpec(tol_rel, tol_abs),
-        controller=ControllerConfig(),
-        interpolant="hermite",
-        h0=h0,
-        newton=NewtonConfig(tolerance=1e-8),
-    )
+    cfg = MultirateConfig(ToleranceSpec(tol_rel, tol_abs), h0=h0)
     problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"burgers_n{n_cells}",
                          bandwidth=(1, 1))
     return BenchmarkPreset(

@@ -10,21 +10,23 @@ Three subcommands:
 * ``compare``   — run both modes over a list of tolerances and write
                   compare.csv.
 
-All numeric CSV output is written with 17 significant digits so re-running an
-identical invocation reproduces every artifact bitwise (wall-clock fields in
-summary.json are measurements and exempt from that guarantee).
+Every CSV file declares its column formats once: ``%.17g`` for numeric
+(float) columns, so each value round-trips exactly, and ``%s`` for counts and
+text.  Rows end in CRLF.  Re-running an identical invocation reproduces every
+artifact bitwise (wall-clock fields in summary.json and compare.csv are
+measurements and exempt from that guarantee).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,18 +61,44 @@ PRESETS = tuple(_PRESET_TABLE)
 _PRESET_FLAGS = tuple(dict.fromkeys(dest for _, flags, _ in _PRESET_TABLE.values() for dest in flags))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
+FLOAT, TEXT = "%.17g", "%s"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+@contextmanager
+def _csv_file(path: Path, header: Sequence[str], formats: Sequence[str]):
+    """Open ``path``, write ``header`` and yield ``write(row)``.  Every row goes
+    through one line template built from the column ``formats`` (``FLOAT`` or
+    ``TEXT``), and every line ends in CRLF."""
+    line = ",".join(formats) + "\r\n"
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(",".join(header) + "\r\n")
+        yield lambda row: fh.write(line % row)
+
+
+def _write_csv(path: Path, header: Sequence[str], formats: Sequence[str],
+               rows: Iterable[tuple]) -> None:
+    with _csv_file(path, header, formats) as write:
         for row in rows:
-            w.writerow([_fmt(v) for v in row])
+            write(row)
+
+
+def _step_rows(trace: IntegrationTrace):
+    """One walk over the step records: the trace.csv and spacetime.csv rows
+    of every accepted step, each macro step followed by its micro steps."""
+    m = trace.m
+    all_components = " ".join(str(i) for i in range(m))
+    idx = 0
+    for rec in trace.records:
+        yield (("macro", idx, rec.t_start, rec.h, rec.eta_max, rec.rejections,
+                *rec.newton_iterations, m),
+               (idx, rec.t_start, rec.t_end, all_components))
+        idx += 1
+        for mic in rec.micro:
+            yield (("micro", idx, mic.t_start, mic.h, mic.eta_max, mic.rejections,
+                    *mic.newton_iterations, len(mic.active)),
+                   (idx, mic.t_start, mic.t_start + mic.h,
+                    " ".join(str(i) for i in mic.active)))
+            idx += 1
 
 
 def _build_preset(args) -> BenchmarkPreset:
@@ -140,50 +168,29 @@ def _write_run_artifacts(
     outputs: List[str] = []
 
     m = trace.m
+    # Row by row: a whole-array tolist() would hold a Python float per value.
     _write_csv(out_dir / "trajectory.csv",
-               ["t"] + [f"y{i}" for i in range(m)],
-               ([t] + list(row) for t, row in zip(traj.times, traj.states)))
+               ["t"] + [f"y{i}" for i in range(m)], [FLOAT] * (m + 1),
+               ((t, *row.tolist()) for t, row in zip(traj.times.tolist(), traj.states)))
     outputs.append("trajectory.csv")
 
-    def trace_rows():
-        idx = 0
-        for rec in trace.records:
-            yield ["macro", idx, rec.t_start, rec.h, rec.eta_max, rec.rejections,
-                   rec.newton_iterations[0], rec.newton_iterations[1], m]
-            idx += 1
-            for mic in rec.micro:
-                yield ["micro", idx, mic.t_start, mic.h, mic.eta_max, mic.rejections,
-                       mic.newton_iterations[0], mic.newton_iterations[1], len(mic.active)]
-                idx += 1
-
-    _write_csv(out_dir / "trace.csv",
-               ["kind", "step", "t_start", "h", "eta_max", "rejections",
-                "newton_stage1", "newton_stage2", "n_active"],
-               trace_rows())
-    outputs.append("trace.csv")
-
-    all_components = " ".join(str(i) for i in range(m))
-
-    def spacetime_rows():
-        idx = 0
-        for rec in trace.records:
-            yield [idx, rec.t_start, rec.t_end, all_components]
-            idx += 1
-            for mic in rec.micro:
-                yield [idx, mic.t_start, mic.t_start + mic.h,
-                       " ".join(str(i) for i in mic.active)]
-                idx += 1
-
-    _write_csv(out_dir / "spacetime.csv",
-               ["step", "t_start", "t_end", "active"],
-               spacetime_rows())
-    outputs.append("spacetime.csv")
+    # One walk over the records writes both files, with no rows held.
+    with (_csv_file(out_dir / "trace.csv",
+                    ["kind", "step", "t_start", "h", "eta_max", "rejections",
+                     "newton_stage1", "newton_stage2", "n_active"],
+                    [TEXT, TEXT, FLOAT, FLOAT, FLOAT, TEXT, TEXT, TEXT, TEXT]) as write_trace,
+          _csv_file(out_dir / "spacetime.csv", ["step", "t_start", "t_end", "active"],
+                    [TEXT, FLOAT, FLOAT, TEXT]) as write_spacetime):
+        for trace_row, spacetime_row in _step_rows(trace):
+            write_trace(trace_row)
+            write_spacetime(spacetime_row)
+    outputs += ["trace.csv", "spacetime.csv"]
 
     if preset.dx is not None and preset.flux_derivative is not None:
         samples = courant_numbers(traj, trace, preset)
         _write_csv(out_dir / "courant.csv",
-                   ["kind", "t_start", "h", "courant"],
-                   ([s.kind, s.t_start, s.h, s.value] for s in samples))
+                   ["kind", "t_start", "h", "courant"], [TEXT, FLOAT, FLOAT, FLOAT],
+                   ((s.kind, s.t_start, s.h, s.value) for s in samples))
         outputs.append("courant.csv")
 
     summary = {
@@ -258,8 +265,8 @@ def cmd_stability(args, argv: Sequence[str]) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "amplification.csv",
-               report.COLUMNS,
-               ([row[c] for c in report.COLUMNS] for row in report.rows))
+               report.COLUMNS, [TEXT if c == "kind" else FLOAT for c in report.COLUMNS],
+               (tuple(row[c] for c in report.COLUMNS) for row in report.rows))
     meta = {
         "system": name,
         "dimension": int(a.shape[0]),
@@ -305,14 +312,15 @@ def cmd_compare(args, argv: Sequence[str]) -> int:
                 return EXIT_INTEGRATION
             wall = time.perf_counter() - t_start
             err = float(np.max(np.abs(traj.states[-1] - ref)))
-            rows.append([tol, mode, err, trace.workload(), trace.scalar_evals,
+            rows.append((tol, mode, err, trace.workload(), trace.scalar_evals,
                          trace.accepted_macro, trace.accepted_micro,
-                         trace.accepted_macro + trace.accepted_micro, wall])
+                         trace.accepted_macro + trace.accepted_micro, wall))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "compare.csv",
                ["tolerance", "mode", "error_vs_reference", "workload", "scalar_evals",
                 "macro_steps", "micro_steps", "total_steps", "wall_time_s"],
+               [FLOAT, TEXT, FLOAT, TEXT, TEXT, TEXT, TEXT, TEXT, FLOAT],
                rows)
     print(f"wrote {out_dir / 'compare.csv'} ({len(rows)} rows)")
     return EXIT_OK

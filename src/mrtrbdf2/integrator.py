@@ -188,7 +188,6 @@ class MacroOutcome:
     record: MacroRecord
     fsal: Optional[Tuple[np.ndarray, float]]
     h_proposal: float
-    tentative: trbdf2.StepResult
 
 
 def _floor_guard(h: float, rejections: int, ctrl: ControllerConfig, what: str) -> None:
@@ -272,7 +271,7 @@ def macro_step(
         newton_iterations=res.newton_iterations, active0=active0.indices,
         micro=micro_records,
     )
-    return MacroOutcome(u_final, record, fsal_next, h_prop, res)
+    return MacroOutcome(u_final, record, fsal_next, h_prop)
 
 
 def _refine(

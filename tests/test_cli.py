@@ -12,12 +12,34 @@ import mrtrbdf2
 from mrtrbdf2 import benchmarks
 from mrtrbdf2.cli import PRESETS, _build_preset, build_parser, main
 from mrtrbdf2.dense_linalg import matrix_norm, spectral_radius
-from mrtrbdf2.stability import single_rate_amplification
+from mrtrbdf2.integrator import integrate
+from mrtrbdf2.stability import AmplificationReport, single_rate_amplification
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# The columns each artifact writes at 17 significant digits (None: every one).
+FLOAT_COLUMNS = {
+    "trajectory.csv": None,
+    "trace.csv": ("t_start", "h", "eta_max"),
+    "spacetime.csv": ("t_start", "t_end"),
+    "courant.csv": ("t_start", "h", "courant"),
+    "amplification.csv": tuple(c for c in AmplificationReport.COLUMNS if c != "kind"),
+    "compare.csv": ("tolerance", "error_vs_reference", "wall_time_s"),
+}
+
+
+def assert_crlf_and_17_digit_floats(path):
+    data = path.read_bytes()
+    assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), path.name
+    rows = read_csv(path)
+    assert rows, path.name
+    for col in FLOAT_COLUMNS[path.name] or rows[0]:
+        for row in rows:
+            assert row[col] == format(float(row[col]), ".17g"), (path.name, col, row[col])
 
 
 def test_run_writes_artifacts_and_schema(tmp_path):
@@ -57,6 +79,33 @@ def test_run_deterministic(tmp_path):
         s["metrics"].pop("wall_time_s")  # measured, exempt from the guarantee
         s.pop("command_line")            # records the differing --out-dir
     assert s1 == s2
+
+
+@pytest.mark.parametrize("preset,flags,factory", [
+    ("inverter_chain", ["--m", "5", "--t-end", "1"],
+     lambda: benchmarks.inverter_chain(m=5, t_end=1.0)),
+    ("burgers_shock", ["--cells", "40", "--t-end", "0.1"],
+     lambda: benchmarks.burgers_riemann(n_cells=40, t_end=0.1)),
+])
+def test_run_csv_rows_are_crlf_17_digit_and_the_trajectory_is_bitwise(tmp_path, preset, flags,
+                                                                     factory):
+    out = tmp_path / "run"
+    assert main(["run", "--preset", preset, "--mode", "multi", *flags, "--out-dir", str(out)]) == 0
+    written = [p.name for p in out.glob("*.csv")]
+    assert {"trajectory.csv", "trace.csv", "spacetime.csv"} <= set(written)
+    for name in written:
+        assert_crlf_and_17_digit_floats(out / name)
+    with open(out / "trajectory.csv", newline="") as fh:
+        cells = [[float(c) for c in row] for row in list(csv.reader(fh))[1:]]
+    p = factory()
+    traj, _ = integrate(p.problem, p.t0, p.t_end, p.y0, p.config)
+    assert np.array(cells).tobytes() == np.column_stack([traj.times, traj.states]).tobytes()
+
+
+def test_stability_csv_rows_are_crlf_17_digit(tmp_path):
+    out = tmp_path / "st"
+    assert main(["stability", "--system", "sys2", "--points", "7", "--out-dir", str(out)]) == 0
+    assert_crlf_and_17_digit_floats(out / "amplification.csv")
 
 
 def test_run_single_mode(tmp_path):
@@ -176,6 +225,7 @@ def test_compare_emits_rows(tmp_path):
     for r in rows:
         assert float(r["workload"]) > 0
         assert float(r["error_vs_reference"]) >= 0.0
+    assert_crlf_and_17_digit_floats(out / "compare.csv")
 
 
 def test_compare_empty_tolerances_exits_2():
