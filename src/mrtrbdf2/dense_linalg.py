@@ -88,6 +88,31 @@ def band_storage(a, band: Tuple[int, int], idx: Optional[Sequence[int]] = None) 
     return ab
 
 
+def block(a, idx: Sequence[int], band: Optional[Tuple[int, int]] = None) -> np.ndarray:
+    """The block of ``a`` over the sorted index subset ``idx``.
+
+    ``a`` is a dense square matrix, or with ``band=(kl, ku)`` a matrix in
+    band storage (see :func:`band_storage`), and the block comes in the same
+    storage with the same (kl, ku).
+    """
+    a = np.asarray(a, dtype=float)
+    idx = np.asarray(idx, dtype=np.intp)
+    if band is None:
+        return a[np.ix_(idx, idx)]
+    kl, ku = band
+    n = idx.size
+    out = np.zeros((kl + ku + 1, n))
+    for r in range(kl + ku + 1):
+        k = r - ku
+        lo, hi = max(0, -k), min(n, n - k)
+        if lo < hi:
+            rows, cols = idx[lo + k:hi + k], idx[lo:hi]
+            src = ku + rows - cols  # storage row of a[rows, cols] in the full matrix
+            inside = (src >= 0) & (src <= kl + ku)
+            out[r, lo:hi][inside] = a[src[inside], cols[inside]]
+    return out
+
+
 @dataclass(frozen=True)
 class LuFactorization:
     """PA = LU factorization with partial pivoting, as produced by :func:`lu_factor`.

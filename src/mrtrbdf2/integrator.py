@@ -19,6 +19,14 @@ method, arithmetic path included.
 Micro steps always enforce the unscaled tolerance (max η ≤ 1) and are
 rejected and retried with the standard controller proposal otherwise.
 
+The Jacobian is carried from step to step: from macro step to macro step,
+and from the macro step into its refinement window as the cohort's block,
+then across the window's micro steps.  It is dropped after a step with a
+slow Newton stage (:attr:`~.trbdf2.StepResult.jacobian_reusable`).  A step
+whose Newton iteration fails on a carried Jacobian is retried once at the
+same h with a fresh one, which is not a rejection; a failure on a fresh
+Jacobian halves h.
+
 The latent context a micro step reads is built once per macro window.  Its
 halo is the latent components that the cohort's rows of f depend on through
 the declared Jacobian bandwidth (every latent component when none is
@@ -46,6 +54,7 @@ from .controller import (
     normalized_errors,
     select_active,
 )
+from .dense_linalg import block
 from .errors import (
     NewtonDivergence,
     NonFiniteOutput,
@@ -120,6 +129,8 @@ class IntegrationTrace:
     m: int
     records: List[MacroRecord] = field(default_factory=list)
     scalar_evals: int = 0
+    jacobian_evaluations: int = 0
+    newton_iterations: int = 0
 
     @property
     def accepted_macro(self) -> int:
@@ -153,6 +164,8 @@ class IntegrationTrace:
             "total_accepted_steps": self.accepted_macro + self.accepted_micro,
             "workload": self.workload(),
             "scalar_function_evaluations": self.scalar_evals,
+            "jacobian_evaluations": self.jacobian_evaluations,
+            "newton_iterations": self.newton_iterations,
         }
 
 
@@ -188,6 +201,7 @@ class MacroOutcome:
     record: MacroRecord
     fsal: Optional[Tuple[np.ndarray, float]]
     h_proposal: float
+    jacobian: Optional[np.ndarray]
 
 
 def _floor_guard(h: float, rejections: int, ctrl: ControllerConfig, what: str) -> None:
@@ -195,6 +209,18 @@ def _floor_guard(h: float, rejections: int, ctrl: ControllerConfig, what: str) -
         raise StepFloorReached(f"{what} rejected {rejections} times; giving up")
     if h <= ctrl.h_min * (1.0 + 1e-12):
         raise StepFloorReached(f"{what} still failing at the minimum step size {ctrl.h_min}")
+
+
+def _try_step(jacobian: Optional[np.ndarray], *args, **kwargs) -> trbdf2.StepResult:
+    """``trbdf2.step`` on a carried ``jacobian`` (None for a fresh one).  When
+    a step on a carried Jacobian fails it is retried once, at the same h, with
+    a fresh Jacobian; only a failure on a fresh Jacobian reaches the caller."""
+    if jacobian is not None:
+        try:
+            return trbdf2.step(*args, jacobian=jacobian, **kwargs)
+        except _RETRYABLE:
+            pass
+    return trbdf2.step(*args, **kwargs)
 
 
 def macro_step(
@@ -205,14 +231,17 @@ def macro_step(
     cfg: MultirateConfig,
     fsal: Optional[Tuple[np.ndarray, float]] = None,
     counter: Optional[EvalCounter] = None,
+    jacobian: Optional[np.ndarray] = None,
 ) -> MacroOutcome:
     """One macro interval: tentative full step, partitioning, micro refinement.
 
     ``fsal`` carries (z, h_prev) with z = h_prev·f(t, u) from the previous
-    step; it is rescaled to the attempted step size.  Returns the refined
-    state at the accepted end time together with the trace record, the next
-    FSAL carrier (None when refinement moved the state off the tentative
-    endpoint) and the controller's proposal for the next macro step.
+    step; it is rescaled to the attempted step size.  ``jacobian`` is the
+    full-system Jacobian carried from an earlier step (None evaluates one).
+    Returns the refined state at the accepted end time together with the
+    trace record, the next FSAL carrier (None when refinement moved the state
+    off the tentative endpoint), the controller's proposal for the next macro
+    step and the Jacobian to carry to it (None when it is dropped).
     """
     ctrl = cfg.controller
     tol = cfg.tolerances
@@ -230,12 +259,15 @@ def macro_step(
             z_prev, h_prev = fsal
             z_in = z_prev if h_prev == h_cur else z_prev * (h_cur / h_prev)
         try:
-            res = trbdf2.step(problem, t, u, h_cur, cfg=cfg.newton, z_in=z_in, counter=counter)
+            res = _try_step(jacobian, problem, t, u, h_cur, cfg=cfg.newton, z_in=z_in,
+                            counter=counter, tolerances=tol)
         except _RETRYABLE:
+            jacobian = None
             rejections += 1
             _floor_guard(h_cur, rejections, ctrl, "macro step")
             h_cur = max(h_cur / 2.0, ctrl.h_min)
             continue
+        jacobian = res.jacobian if res.jacobian_reusable else None
         u_hat = res.u_next
         eta = normalized_errors(res.eps_mod, u_hat, tol)
         # Refinement cohort: within δ of the worst normalized error AND
@@ -271,7 +303,7 @@ def macro_step(
         newton_iterations=res.newton_iterations, active0=active0.indices,
         micro=micro_records,
     )
-    return MacroOutcome(u_final, record, fsal_next, h_prop)
+    return MacroOutcome(u_final, record, fsal_next, h_prop, jacobian)
 
 
 def _refine(
@@ -292,6 +324,8 @@ def _refine(
     fixed cohort also fixes the latent halo (:func:`~.ode_problem.latent_halo`),
     so the interpolant data is sliced to the halo once per window and the
     context buffer is refreshed on the halo once per distinct stage time.
+    The window starts on the cohort's block of the tentative step's Jacobian
+    and carries it across the micro steps.
     """
     ctrl = cfg.controller
     tol = cfg.tolerances
@@ -322,6 +356,7 @@ def _refine(
         return context
 
     x = u[active.indices]
+    jacobian: Optional[np.ndarray] = block(res.jacobian, active.indices, problem.bandwidth)
     # The first micro proposal comes from the tentative macro error.
     eps_src = res.eps_mod[active.indices]
     scale_src = u_hat[active.indices]
@@ -343,15 +378,17 @@ def _refine(
             else:
                 h_eff, t_tgt = h_mic, t_k + h_mic
             try:
-                mres = trbdf2.step(
-                    problem, t_k, x, h_eff, part=active, frozen=latent_context,
-                    cfg=cfg.newton, counter=counter,
+                mres = _try_step(
+                    jacobian, problem, t_k, x, h_eff, part=active, frozen=latent_context,
+                    cfg=cfg.newton, counter=counter, tolerances=tol,
                 )
             except _RETRYABLE:
+                jacobian = None
                 mic_rej += 1
                 _floor_guard(h_eff, mic_rej, ctrl, "micro step")
                 h_mic = max(h_eff / 2.0, ctrl.h_min)
                 continue
+            jacobian = mres.jacobian if mres.jacobian_reusable else None
             eta_mic = normalized_errors(mres.eps_mod, mres.u_next, tol)
             if accept_global(eta_mic):
                 break
@@ -407,13 +444,15 @@ def integrate(
     u = y0.copy()
     h_next = min(max(cfg.h0, ctrl.h_min), ctrl.h_max, t_end - t0)
     fsal: Optional[Tuple[np.ndarray, float]] = None
+    jacobian: Optional[np.ndarray] = None
     scale = max(abs(t0), abs(t_end), 1.0)
 
     while t_end - t > 1e-12 * scale:
         target = landings[next_landing]
         gap = target - t
         h_try = min(h_next, gap)
-        out = macro_step(problem, t, u, h_try, cfg, fsal=fsal, counter=counter)
+        out = macro_step(problem, t, u, h_try, cfg, fsal=fsal, counter=counter,
+                         jacobian=jacobian)
         accepted_h = out.record.h
         if accepted_h == h_try and h_try == gap:
             # Landed on the target exactly (same float arithmetic on purpose).
@@ -426,12 +465,15 @@ def integrate(
                 next_landing += 1
         u = out.state
         fsal = out.fsal
+        jacobian = out.jacobian
         h_next = out.h_proposal
         trace.records.append(out.record)
         times.append(t)
         states.append(u.copy())
 
     trace.scalar_evals = counter.scalar_evals
+    trace.jacobian_evaluations = counter.jacobian_evaluations
+    trace.newton_iterations = counter.newton_iterations
     traj = Trajectory(np.asarray(times), np.asarray(states))
     return traj, trace
 

@@ -43,7 +43,7 @@ class ActivePartition:
     full partitions are both valid.
     """
 
-    __slots__ = ("m", "indices")
+    __slots__ = ("m", "indices", "size")
 
     def __init__(self, m: int, indices: Sequence[int] | np.ndarray):
         idx = np.asarray(indices, dtype=np.intp).ravel()
@@ -57,6 +57,7 @@ class ActivePartition:
         self.m = int(m)
         self.indices = idx
         self.indices.setflags(write=False)
+        self.size = int(idx.size)
 
     @classmethod
     @functools.lru_cache(maxsize=32)
@@ -67,10 +68,6 @@ class ActivePartition:
     @classmethod
     def empty(cls, m: int) -> "ActivePartition":
         return cls(m, np.empty(0, dtype=np.intp))
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
 
     @property
     def is_full(self) -> bool:
@@ -106,9 +103,12 @@ class ActivePartition:
 
 @dataclass
 class EvalCounter:
-    """Scalar function-evaluation accumulator for one integration run."""
+    """Work accumulator for one integration run: scalar function evaluations,
+    Jacobian evaluations and Newton iterations (failed ones included)."""
 
     scalar_evals: int = 0
+    jacobian_evaluations: int = 0
+    newton_iterations: int = 0
 
     def add(self, n: int) -> None:
         self.scalar_evals += int(n)
@@ -160,7 +160,8 @@ def eval_subsystem_rhs(
     """Active-component derivative with the latent components frozen.
 
     Scatters ``x`` into ``frozen`` at the active indices, evaluates the full
-    right-hand side, and gathers back the active rows.  Costs |active| scalar
+    right-hand side, and gathers back the active rows; for the full partition
+    the right-hand side's own array is returned.  Costs |active| scalar
     evaluations on the counter.
     """
     if part.is_empty:
@@ -171,7 +172,7 @@ def eval_subsystem_rhs(
     f = _call_rhs(p, t, full)
     if counter is not None:
         counter.add(part.size)
-    out = f[part.indices]
+    out = f if part.is_full else f[part.indices]
     if not np.isfinite(out).all():
         raise NonFiniteOutput(f"subsystem rhs produced non-finite values at t={t}")
     return out
@@ -213,10 +214,13 @@ def subsystem_jacobian(
     are formed, each with the increment sqrt(eps)·max(|y_j|, 1) so that
     components at or near zero still get a sensible perturbation.  When the
     problem declares a bandwidth the block comes in band storage
-    (:func:`~.dense_linalg.band_storage`) with the same (kl, ku).
+    (:func:`~.dense_linalg.band_storage`) with the same (kl, ku).  Each call
+    counts one Jacobian evaluation on the counter.
     """
     y = np.asarray(y, dtype=float)
     idx = part.indices
+    if counter is not None:
+        counter.jacobian_evaluations += 1
     if p.jacobian is not None:
         jac = np.asarray(p.jacobian(t, y), dtype=float)
         if jac.shape != (p.m, p.m):

@@ -9,6 +9,13 @@ weight row provides a raw local error estimate, which is passed through
 (I − d·h·J)⁻¹, reusing the stages' factorization, to stay bounded for stiff
 components.
 
+J need not be taken at the step start: a caller may pass the Jacobian of an
+earlier step, which :func:`step` returns for that purpose, and the matrix is
+then refactored with the current h, as in Hosea & Shampine's ode23tb.  Given
+the caller's tolerances, Newton stops as soon as its contraction rate
+predicts a stage error well below them (Hairer & Wanner, *Solving ODEs II*,
+§IV.8); see :data:`NEWTON_KAPPA` and :data:`REUSE_MAX_ITERATIONS`.
+
 A step is taken on an active subsystem whose latent components are read from
 a callable of the stage time (see :mod:`.ode_problem`); the full system is
 the case where every component is active.
@@ -22,6 +29,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .controller import ToleranceSpec
 from .dense_linalg import LuFactorization, lu_factor, lu_solve
 from .errors import DimensionMismatch, NewtonDivergence, PoleEncountered
 from .ode_problem import (
@@ -36,6 +44,15 @@ GAMMA = 2.0 - math.sqrt(2.0)
 D_STAGE = GAMMA / 2.0
 W_STAGE = math.sqrt(2.0) / 4.0
 
+# Newton stops once θ/(1−θ)·‖d·Δz‖_w ≤ NEWTON_KAPPA, where θ is the ratio of
+# the last two increments and w the weights 1/(τ_r|u|+τ_a): the predicted
+# distance of the stage state from the exact stage solution, in units of the
+# error tolerance.
+NEWTON_KAPPA = 0.01
+# A Jacobian is carried to the next step only if every stage of the step
+# that used it converged within this many Newton iterations.
+REUSE_MAX_ITERATIONS = 2
+
 # Main weights b and embedded third-order weights b* over (z_n, z_γ, z_{n+1}).
 WEIGHTS = (W_STAGE, W_STAGE, D_STAGE)
 EMBEDDED_WEIGHTS = ((1.0 - W_STAGE) / 3.0, (3.0 * W_STAGE + 1.0) / 3.0, D_STAGE / 3.0)
@@ -46,8 +63,11 @@ _ERROR_WEIGHTS = tuple(bs - b for bs, b in zip(EMBEDDED_WEIGHTS, WEIGHTS))
 class NewtonConfig:
     """Newton iteration controls for the two implicit stages.
 
-    ``tolerance`` is applied to the max norm of the z-increment.  Both stages
-    iterate on one factorization of I − d·h·J with J taken at the step start.
+    A stage stops when the max norm of its z-increment is at most
+    ``tolerance``, or earlier by the contraction-rate test on the caller's
+    tolerances (:data:`NEWTON_KAPPA`).  Both stages iterate on one
+    factorization of I − d·h·J, with J evaluated at the step start or
+    carried from an earlier step.
     """
 
     tolerance: float = 1e-8
@@ -67,7 +87,9 @@ class StepResult:
     States and stage derivatives live on the stepped (active) components;
     z values are scaled by the step size (z = h·f).  ``eps_mod`` is the
     modified error estimate (I − d·h·J)⁻¹ ε_raw; the raw estimate ε_raw is
-    ``raw_error_estimate(z_n, z_gamma, z_next)``.
+    ``raw_error_estimate(z_n, z_gamma, z_next)``.  ``jacobian`` is the J of
+    the iteration matrix, in the storage :func:`step` accepts, so that a
+    caller can carry it to the next step.
     """
 
     u_gamma: np.ndarray
@@ -77,6 +99,12 @@ class StepResult:
     z_next: np.ndarray
     eps_mod: np.ndarray
     newton_iterations: Tuple[int, int]
+    jacobian: np.ndarray
+
+    @property
+    def jacobian_reusable(self) -> bool:
+        """Whether every stage converged fast enough to carry J onward."""
+        return max(self.newton_iterations) <= REUSE_MAX_ITERATIONS
 
 
 def stability_function(z: complex) -> complex:
@@ -123,12 +151,21 @@ def _newton_stage(
     z0: np.ndarray,
     h: float,
     cfg: NewtonConfig,
+    weights: Optional[np.ndarray],
+    counter: Optional[EvalCounter],
 ) -> Tuple[np.ndarray, int]:
-    """Solve z = h f(t_stage, base + d·z) by modified Newton with the frozen LU."""
+    """Solve z = h f(t_stage, base + d·z) by modified Newton with the given LU.
+
+    Stops when ‖Δz‖∞ ≤ ``cfg.tolerance`` or, given tolerance ``weights`` w,
+    once θ/(1−θ)·‖d·Δz‖_w ≤ NEWTON_KAPPA with θ = ‖Δz_k‖_w/‖Δz_{k−1}‖_w < 1.
+    """
     z = z0.copy()
     prev_res = math.inf
+    prev_wnorm = 0.0
     growth = 0
     for it in range(1, cfg.max_iterations + 1):
+        if counter is not None:
+            counter.newton_iterations += 1
         r = h * f_sub(t_stage, base + D_STAGE * z) - z
         rnorm = float(np.abs(r).max()) if r.size else 0.0
         if not math.isfinite(rnorm):
@@ -147,6 +184,13 @@ def _newton_stage(
         dnorm = float(np.abs(delta).max()) if delta.size else 0.0
         if dnorm <= cfg.tolerance:
             return z, it
+        if weights is not None:
+            wnorm = float(np.abs(delta * weights).max())
+            if it > 1:
+                theta = wnorm / prev_wnorm
+                if theta < 1.0 and theta / (1.0 - theta) * D_STAGE * wnorm <= NEWTON_KAPPA:
+                    return z, it
+            prev_wnorm = wnorm
     raise NewtonDivergence(f"Newton did not converge in {cfg.max_iterations} iterations at t={t_stage}")
 
 
@@ -160,6 +204,8 @@ def step(
     z_in: Optional[np.ndarray] = None,
     cfg: Optional[NewtonConfig] = None,
     counter: Optional[EvalCounter] = None,
+    jacobian: Optional[np.ndarray] = None,
+    tolerances: Optional[ToleranceSpec] = None,
 ) -> StepResult:
     """Advance the (sub)system one TR-BDF2 step of size h from (t, u).
 
@@ -172,10 +218,14 @@ def step(
     h·f(t, u) (the FSAL hand-off from a previous step); when absent it is
     computed.
 
-    Both implicit stages share one LU factorization of (I − d·h·J), with the
-    Jacobian frozen at the step start; it is factored in band storage when
-    the problem declares a Jacobian bandwidth.  Raises :class:`NewtonDivergence`
-    when an iteration stalls; the caller is expected to reduce h and retry.
+    Both implicit stages share one LU factorization of (I − d·h·J), factored
+    in band storage when the problem declares a Jacobian bandwidth.  J is
+    ``jacobian`` when given (the subsystem's block, in band storage when a
+    bandwidth is declared, as :attr:`StepResult.jacobian` returns it) and is
+    evaluated at the step start otherwise.  With ``tolerances`` Newton also
+    stops by its contraction rate, weighted by 1/(τ_r|u|+τ_a).  Raises
+    :class:`NewtonDivergence` when an iteration stalls; the caller is expected
+    to retry with a fresh Jacobian or a smaller h.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -201,16 +251,23 @@ def step(
     if z_n.shape != u.shape:
         raise DimensionMismatch("z_in has the wrong shape")
 
-    jac = subsystem_jacobian(problem, t, part.scatter(u, frozen(t)), part, counter)
-    lu = _factor_newton_matrix(jac, h, problem.bandwidth)
+    if jacobian is None:
+        jacobian = subsystem_jacobian(problem, t, part.scatter(u, frozen(t)), part, counter)
+    elif jacobian.shape[-1] != part.size:
+        raise DimensionMismatch(
+            f"jacobian of shape {jacobian.shape} for {part.size} active components"
+        )
+    lu = _factor_newton_matrix(jacobian, h, problem.bandwidth)
+    weights = None if tolerances is None else 1.0 / tolerances.scale(u)
 
     # Trapezoidal stage to t + γh, started from the incoming stage derivative.
-    z_gamma, it_tr = _newton_stage(f_sub, lu, t + GAMMA * h, u + D_STAGE * z_n, z_n, h, cfg)
+    z_gamma, it_tr = _newton_stage(f_sub, lu, t + GAMMA * h, u + D_STAGE * z_n, z_n, h, cfg,
+                                   weights, counter)
     u_gamma = u + D_STAGE * z_n + D_STAGE * z_gamma
 
     # BDF2 stage to t + h, started from the trapezoidal stage derivative.
     base2 = u + W_STAGE * z_n + W_STAGE * z_gamma
-    z_next, it_bdf = _newton_stage(f_sub, lu, t + h, base2, z_gamma, h, cfg)
+    z_next, it_bdf = _newton_stage(f_sub, lu, t + h, base2, z_gamma, h, cfg, weights, counter)
     u_next = base2 + D_STAGE * z_next
 
     eps_raw = raw_error_estimate(z_n, z_gamma, z_next)
@@ -223,4 +280,5 @@ def step(
         z_next=z_next,
         eps_mod=eps_mod,
         newton_iterations=(it_tr, it_bdf),
+        jacobian=jacobian,
     )

@@ -52,6 +52,9 @@ def test_every_hook_installs_and_every_layer_is_traced(tracing, tmp_path):
                  "dense_linalg.lu_solve", "interpolants.hermite_cubic", "controller"):
         assert calls.get(name, 0) > 0, name
     assert tracer.counts["trbdf2.newton_iters"] > 0
+    # the Jacobian is carried across steps, not evaluated once per step
+    steps = calls["trbdf2.step_full"] + calls["trbdf2.step_sub"]
+    assert calls["benchmarks.jacobian"] <= 0.5 * steps
     assert tracer.counts["integrator.workload"] > 0
     # micro steps reconstruct only the latent halo, not all m = 20 components,
     hermite_calls, _, hermite_len = stats["interpolants.hermite_cubic"]

@@ -54,8 +54,12 @@ def test_run_writes_artifacts_and_schema(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     metrics = summary["metrics"]
     for key in ("workload", "accepted_macro_steps", "rejected_macro_steps",
-                "scalar_function_evaluations", "wall_time_s"):
+                "scalar_function_evaluations", "jacobian_evaluations", "newton_iterations",
+                "wall_time_s"):
         assert key in metrics
+    # the Jacobian is carried across steps, and each step iterates Newton
+    steps = metrics["total_accepted_steps"]
+    assert 0 < metrics["jacobian_evaluations"] < steps < metrics["newton_iterations"]
     # workload equals the component-step pairs of the space-time diagram
     st = read_csv(out / "spacetime.csv")
     counted = sum(len(row["active"].split()) for row in st)

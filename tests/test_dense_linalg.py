@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mrtrbdf2.dense_linalg import (band_storage, eigenvalues, lu_factor, lu_solve, matrix_norm,
-                                   spectral_radius)
+from mrtrbdf2.dense_linalg import (band_storage, block, eigenvalues, lu_factor, lu_solve,
+                                   matrix_norm, spectral_radius)
 from mrtrbdf2.errors import DimensionMismatch, SingularMatrix
 
 
@@ -155,6 +155,17 @@ def test_band_lu_matches_dense_solve(kl, ku, n):
     xx = lu_solve(f, bb)
     assert xx.shape == (n, 3)
     assert np.max(np.abs(xx - np.linalg.solve(a, bb))) <= 1e-12 * max(1.0, np.max(np.abs(xx)))
+
+
+@pytest.mark.parametrize("kl,ku", BANDS)
+def test_block_of_band_storage_is_band_storage_of_the_block(kl, ku):
+    rng = np.random.default_rng(10 * kl + ku)
+    n = 9
+    a = random_banded(rng, n, kl, ku)
+    for idx in ([0], [4], [1, 2, 3], [0, 2, 3, 7, 8], list(range(n))):
+        sub = a[np.ix_(idx, idx)]
+        assert np.array_equal(block(a, idx), sub)
+        assert np.array_equal(block(band_storage(a, (kl, ku)), idx, (kl, ku)), to_band(sub, kl, ku))
 
 
 @pytest.mark.parametrize("kl,ku", [(1, 1), (2, 1)])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrtrbdf2 import trbdf2
+from mrtrbdf2 import integrator, trbdf2
 from mrtrbdf2.benchmarks import inverter_chain, reaction_diffusion
 from mrtrbdf2.controller import ControllerConfig, ToleranceSpec
 from mrtrbdf2.errors import SafetyCapExceeded, StepFloorReached
@@ -13,8 +13,7 @@ from mrtrbdf2.integrator import (
     integrate_single_rate,
     macro_step,
 )
-from mrtrbdf2.interpolants import HermiteData, hermite_cubic, linear_interp
-from mrtrbdf2.ode_problem import ActivePartition, OdeProblem
+from mrtrbdf2.ode_problem import ActivePartition, OdeProblem, latent_halo
 
 
 def linear_problem(a):
@@ -116,40 +115,90 @@ def test_all_active_refinement_matches_micro_grid_replay():
     assert np.array_equal(x, out.state)
 
 
+def logged_steps(monkeypatch):
+    """Record (h, whether a Jacobian was carried in) for every step call."""
+    calls = []
+    original = trbdf2.step
+
+    def logged(*args, **kwargs):
+        calls.append((args[3], kwargs.get("jacobian") is not None))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trbdf2, "step", logged)
+    return calls
+
+
+def test_stale_jacobian_is_retried_fresh_without_a_rejection(monkeypatch):
+    # the zero Jacobian of a non-stiff past misses the -1e4 mode, so Newton
+    # diverges on it; the fresh retry at the same h is not a rejection
+    p = linear_problem(np.diag([-1.0, -1e4]))
+    cfg = default_cfg(tolerances=ToleranceSpec(1e-6, 1e-6))
+    u = np.array([1.0, 1.0])
+    fresh = macro_step(p, 0.0, u, 1e-2, cfg)
+    calls = logged_steps(monkeypatch)
+    stale = macro_step(p, 0.0, u, 1e-2, cfg, jacobian=np.zeros((2, 2)))
+    assert calls[:2] == [(1e-2, True), (1e-2, False)]
+    assert stale.record.rejections == fresh.record.rejections == 0
+    assert stale.record.h == fresh.record.h == 1e-2
+    assert stale.state.tobytes() == fresh.state.tobytes()
+
+
+def test_failure_on_a_fresh_jacobian_halves_h(monkeypatch):
+    # the analytic Jacobian is wrong at every state (as in
+    # test_newton_divergence_raises), so the fresh retry fails too
+    p = OdeProblem(m=1, rhs=lambda t, y: 1e4 * y * y - y,
+                   jacobian=lambda t, y: np.array([[-1.0]]))
+    cfg = default_cfg(controller=ControllerConfig(max_rejections=2))
+    calls = logged_steps(monkeypatch)
+    with pytest.raises(StepFloorReached):
+        macro_step(p, 0.0, np.array([5.0]), 1.0, cfg, jacobian=np.array([[-1.0]]))
+    assert calls == [(1.0, True), (1.0, False), (0.5, False)]
+
+
+def test_jacobian_is_carried_only_after_fast_newton_stages():
+    cfg = default_cfg(tolerances=ToleranceSpec(1e-2, 1e-2), controller=ControllerConfig(delta=1.0))
+    linear = linear_problem([[-2.0, 1.0], [0.0, -50.0]])
+    out = macro_step(linear, 0.0, np.array([1.0, 1.0]), 1e-2, cfg)
+    assert max(out.record.newton_iterations) <= trbdf2.REUSE_MAX_ITERATIONS
+    assert np.array_equal(out.jacobian, linear.jacobian(0.0, None))
+    # a Jacobian off by a factor 5: Newton contracts only linearly
+    rough = OdeProblem(m=1, rhs=lambda t, y: -100.0 * y, jacobian=lambda t, y: np.array([[-20.0]]))
+    out = macro_step(rough, 0.0, np.array([1.0]), 5e-3, cfg)
+    assert out.record.rejections == 0
+    assert max(out.record.newton_iterations) > trbdf2.REUSE_MAX_ITERATIONS
+    assert out.jacobian is None
+
+
 @pytest.mark.parametrize("make", [lambda: inverter_chain(m=12, t_end=8.0),
                                   lambda: reaction_diffusion(n_cells=16, t_end=0.3)],
                          ids=["inverter_chain", "reaction_diffusion"])
 @pytest.mark.parametrize("interpolant", ["hermite", "linear"])
-def test_halo_context_matches_full_length_reconstruction_bitwise(make, interpolant):
-    # Micro steps reconstruct only the latent halo; replaying each accepted
-    # micro step against the whole reconstructed state must give the same bits.
+def test_halo_context_matches_full_length_reconstruction_bitwise(make, interpolant, monkeypatch):
+    # Micro steps reconstruct only the latent halo; the same macro steps with
+    # every latent component reconstructed must give the same bits.
     preset = make()
     cfg = replace(preset.config, interpolant=interpolant)
     traj, trace = integrate(preset.problem, preset.t0, preset.t_end, preset.y0, cfg)
     # cohorts past the chain head, so that a halo exists on the driven side
     refined = [k for k, rec in enumerate(trace.records) if rec.micro and rec.active0[0] > 0][:3]
     assert refined
-    for k in refined:
-        rec, u = trace.records[k], traj.states[k]
-        out = macro_step(preset.problem, rec.t_start, u, rec.h, cfg)
-        t, h = out.record.t_start, out.record.h
-        res = trbdf2.step(preset.problem, t, u, h, cfg=cfg.newton)
-        part = ActivePartition(preset.problem.m, out.record.active0)
-        dense = HermiteData(u_n=u, u_gamma=res.u_gamma, u_next=res.u_next,
-                            z_n=res.z_n, z_gamma=res.z_gamma, z_next=res.z_next, h=h)
-        assert out.record.micro
 
-        def context(ts):
-            if interpolant == "hermite":
-                return hermite_cubic(dense, ts - t)
-            return linear_interp(u, res.u_next, h, ts - t)
+    def replay():
+        return [macro_step(preset.problem, trace.records[k].t_start, traj.states[k],
+                           trace.records[k].h, cfg) for k in refined]
 
-        for mic in out.record.micro:
-            step = trbdf2.step(preset.problem, mic.t_start, mic.x_start, mic.h, part,
-                               context, cfg=cfg.newton)
-            assert step.newton_iterations == mic.newton_iterations
-            x = step.u_next
-        assert x.tobytes() == out.state[part.indices].tobytes()
+    halo = replay()
+    m = preset.problem.m
+    for out in halo:  # the halo leaves some latent components out
+        part = ActivePartition(m, out.record.active0)
+        assert latent_halo(preset.problem, part).size < m - part.size
+    monkeypatch.setattr(integrator, "latent_halo", lambda p, part: part.complement().indices)
+    whole = replay()
+    for a, b in zip(halo, whole):
+        assert a.record.micro
+        assert [(mic.h, mic.newton_iterations) for mic in a.record.micro] == \
+            [(mic.h, mic.newton_iterations) for mic in b.record.micro]
+        assert a.state.tobytes() == b.state.tobytes()
 
 
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])

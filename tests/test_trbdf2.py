@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrtrbdf2.errors import NewtonDivergence, PoleEncountered
-from mrtrbdf2.ode_problem import ActivePartition, OdeProblem
+from mrtrbdf2.controller import ToleranceSpec
+from mrtrbdf2.errors import DimensionMismatch, NewtonDivergence, PoleEncountered
+from mrtrbdf2.ode_problem import ActivePartition, EvalCounter, OdeProblem
 from mrtrbdf2.trbdf2 import (
     D_STAGE,
     EMBEDDED_WEIGHTS,
     GAMMA,
+    NEWTON_KAPPA,
     WEIGHTS,
     NewtonConfig,
     raw_error_estimate,
@@ -234,3 +236,48 @@ def test_newton_divergence_raises():
     )
     with pytest.raises(NewtonDivergence):
         step(p, 0.0, np.array([5.0]), 1.0, cfg=NewtonConfig(tolerance=1e-12, max_iterations=8))
+
+
+def stiff_cubic_chain(m=8, stiffness=100.0, cubic=5.0):
+    """y' = stiffness·L y − cubic·y³ with the tridiagonal Laplacian L."""
+    lap = np.diag(np.full(m, -2.0)) + np.eye(m, k=1) + np.eye(m, k=-1)
+    return OdeProblem(
+        m=m,
+        rhs=lambda t, y: stiffness * lap @ y - cubic * y ** 3,
+        jacobian=lambda t, y: stiffness * lap - np.diag(3.0 * cubic * y ** 2),
+        bandwidth=(1, 1),
+    )
+
+
+def test_rate_stop_stays_within_kappa_of_a_tight_solve():
+    p = stiff_cubic_chain()
+    y = np.sin(np.pi * np.arange(1, 9) / 9.0)
+    tol = ToleranceSpec(1e-4, 1e-6)
+    h = 0.01
+    tight = step(p, 0.0, y, h, cfg=NewtonConfig(tolerance=1e-14, max_iterations=100))
+    floor_only = step(p, 0.0, y, h)
+    rate = step(p, 0.0, y, h, tolerances=tol)
+    # the rate test stops each stage before the increment floor does
+    assert all(r < f for r, f in zip(rate.newton_iterations, floor_only.newton_iterations))
+    weights = 1.0 / tol.scale(y)
+    for name in ("u_gamma", "u_next"):
+        gap = np.max(np.abs(getattr(rate, name) - getattr(tight, name)) * weights)
+        assert 0.0 < gap <= NEWTON_KAPPA, name
+
+
+def test_carried_jacobian_is_used_and_returned():
+    p = stiff_cubic_chain()
+    y = np.sin(np.pi * np.arange(1, 9) / 9.0)
+    counter = EvalCounter()
+    first = step(p, 0.0, y, 0.01, counter=counter)
+    assert counter.jacobian_evaluations == 1
+    assert counter.newton_iterations == sum(first.newton_iterations)
+    # banded problem: J comes back in band storage, and passing it on
+    # evaluates none while giving the step of a fresh J at the same state
+    assert first.jacobian.shape == (3, 8)
+    again = step(p, 0.0, y, 0.01, counter=counter, jacobian=first.jacobian)
+    assert counter.jacobian_evaluations == 1
+    assert again.jacobian is first.jacobian
+    assert again.u_next.tobytes() == first.u_next.tobytes()
+    with pytest.raises(DimensionMismatch):
+        step(p, 0.0, y, 0.01, jacobian=first.jacobian[:, :4])
