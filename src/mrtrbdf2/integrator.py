@@ -1,47 +1,39 @@
 """Self-adjusting multirate driver built on the TR-BDF2 step.
 
-One macro step works as follows.  A tentative step over the full system is
-taken and its per-component normalized errors η are formed from the modified
-error estimate.  The macro level accepts the step when max η ≤ 1/δ, i.e. the
-componentwise tolerances relaxed by the refinement threshold δ: every
-component that ends up beyond its own tolerance (η > 1) is then necessarily
-inside the refinement cohort {η > δ·max η} and gets re-integrated, while the
-components left untouched all satisfy η ≤ 1 outright.  The flagged components
-are advanced across the macro interval with smaller, error-controlled micro
-steps; the latent components they couple to are reconstructed by the
-configured interpolant on the macro interval.  The cohort is fixed for the
-whole macro interval: a flagged component is micro-stepped to the interval
-end, so its neighbours in the cohort always see its refined values rather
-than the tentative ones.  With δ = 1 nothing is ever flagged, the macro gate
-reduces to max η ≤ 1, and the driver is exactly the adaptive single-rate
-method, arithmetic path included.
+A macro step takes a tentative step over the full system and forms the
+per-component normalized errors η of its modified error estimate.  The
+components within δ of the worst error that are also beyond their own
+tolerance, {η > δ·max η} ∩ {η > 1}, are flagged; the step passes when every
+other component meets its tolerance, so an isolated error spike is repaired
+rather than rejected.  The flagged cohort is advanced across the macro
+interval with smaller, error-controlled micro steps, and stays fixed for the
+whole interval, so its members always see each other's refined values; the
+latent components it couples to are reconstructed by the configured
+interpolant.  With δ = 1 nothing is flagged and the driver is exactly the
+adaptive single-rate method, arithmetic path included.
 
-Micro steps always enforce the unscaled tolerance (max η ≤ 1) and are
-rejected and retried with the standard controller proposal otherwise.
+Macro and micro steps share one attempt loop, :func:`_attempt`: a micro step
+is a step on the cohort with δ = 1, so it meets the unscaled tolerance.  The
+Jacobian is carried from macro step to macro step, into a refinement window
+as the cohort's block, and across its micro steps; it is dropped after a slow
+Newton stage (:attr:`~.trbdf2.StepResult.jacobian_reusable`).  A Newton
+failure on a carried Jacobian is retried once at the same h on a fresh one,
+which is not a rejection; a failure on a fresh Jacobian halves h.
 
-The Jacobian is carried from step to step: from macro step to macro step,
-and from the macro step into its refinement window as the cohort's block,
-then across the window's micro steps.  It is dropped after a step with a
-slow Newton stage (:attr:`~.trbdf2.StepResult.jacobian_reusable`).  A step
-whose Newton iteration fails on a carried Jacobian is retried once at the
-same h with a fresh one, which is not a rejection; a failure on a fresh
-Jacobian halves h.
-
-The latent context a micro step reads is built once per macro window.  Its
-halo is the latent components that the cohort's rows of f depend on through
-the declared Jacobian bandwidth (every latent component when none is
-declared); only those are reconstructed, into one length-m buffer seeded
-from the tentative endpoint, and only when the stage time changes, so the
-Newton iterations of one stage reuse one reconstruction.  Rows of f outside
-the cohort are computed by the full rhs but never gathered, which keeps every
-gathered value bitwise equal to a full-length reconstruction.
+A micro step reads a latent context built once per macro window.  Its halo is
+the latent components that the cohort's rows of f depend on through the
+declared Jacobian bandwidth (all of them when none is declared); only those
+are reconstructed, into one length-m buffer seeded from the tentative
+endpoint, and only when the stage time changes.  Rows of f outside the cohort
+are computed but never gathered, which keeps every gathered value bitwise
+equal to a full-length reconstruction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +60,11 @@ from .trbdf2 import NewtonConfig
 
 INTERPOLANT_KINDS = ("linear", "hermite")
 
-_RETRYABLE = (NewtonDivergence, NonFiniteOutput, SingularMatrix)
+# Rejection causes: the failures a smaller step can cure, then the error test.
+_CAUSES = {NewtonDivergence: "newton_divergence", NonFiniteOutput: "non_finite_output",
+           SingularMatrix: "singular_matrix"}
+_RETRYABLE = tuple(_CAUSES)
+REJECTION_CAUSES = ("error_test", *_CAUSES.values())
 
 
 @dataclass
@@ -131,6 +127,8 @@ class IntegrationTrace:
     scalar_evals: int = 0
     jacobian_evaluations: int = 0
     newton_iterations: int = 0
+    rejection_causes: Dict[str, int] = field(default_factory=dict)
+    stale_jacobian_retries: int = 0
 
     @property
     def accepted_macro(self) -> int:
@@ -166,6 +164,8 @@ class IntegrationTrace:
             "scalar_function_evaluations": self.scalar_evals,
             "jacobian_evaluations": self.jacobian_evaluations,
             "newton_iterations": self.newton_iterations,
+            "rejection_causes": {c: self.rejection_causes.get(c, 0) for c in REJECTION_CAUSES},
+            "stale_jacobian_retries": self.stale_jacobian_retries,
         }
 
 
@@ -204,23 +204,71 @@ class MacroOutcome:
     jacobian: Optional[np.ndarray]
 
 
-def _floor_guard(h: float, rejections: int, ctrl: ControllerConfig, what: str) -> None:
-    if rejections >= ctrl.max_rejections:
-        raise StepFloorReached(f"{what} rejected {rejections} times; giving up")
-    if h <= ctrl.h_min * (1.0 + 1e-12):
-        raise StepFloorReached(f"{what} still failing at the minimum step size {ctrl.h_min}")
+def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float, delta: float,
+             jacobian: Optional[np.ndarray], cfg: MultirateConfig, counter: Optional[EvalCounter],
+             fsal: Optional[Tuple[np.ndarray, float]] = None,
+             part: Optional[ActivePartition] = None, frozen=None) -> tuple:
+    """Retry one step from (t, x) until it passes, for macro and micro steps alike.
 
-
-def _try_step(jacobian: Optional[np.ndarray], *args, **kwargs) -> trbdf2.StepResult:
-    """``trbdf2.step`` on a carried ``jacobian`` (None for a fresh one).  When
-    a step on a carried Jacobian fails it is retried once, at the same h, with
-    a fresh Jacobian; only a failure on a fresh Jacobian reaches the caller."""
-    if jacobian is not None:
+    An h within 1e-9 of ``span`` becomes ``span``, so the step lands exactly.
+    It passes when every component outside the refinement set
+    {η > δ·max η} ∩ {η > 1} meets its tolerance; δ = 1 flags nothing.
+    ``fsal`` is a macro step's (z, h_prev) hand-off, ``part``/``frozen`` a
+    micro step's cohort and latent context.  The Jacobian evaluated at (t, x)
+    serves all later attempts, and a failure on it halves h with no retry.
+    Rejections are counted on ``counter`` by cause.  Returns (step, h, η,
+    refinement mask or None when δ = 1, rejections, Jacobian to carry or None,
+    proposal from δ·ε, or None for a micro step that lands on ``span``).
+    """
+    ctrl, tol = cfg.controller, cfg.tolerances
+    exact: Optional[np.ndarray] = None  # the Jacobian at (t, x), once evaluated
+    rejections = 0
+    while True:
+        if h >= span * (1.0 - 1e-9):
+            h = span
+        z_in = None
+        if fsal is not None:
+            z_prev, h_prev = fsal
+            z_in = z_prev if h_prev == h else z_prev * (h / h_prev)
+        jac = jacobian if exact is None else exact
         try:
-            return trbdf2.step(*args, jacobian=jacobian, **kwargs)
-        except _RETRYABLE:
-            pass
-    return trbdf2.step(*args, **kwargs)
+            res = trbdf2.step(problem, t, x, h, part=part, frozen=frozen, z_in=z_in,
+                              cfg=cfg.newton, counter=counter, jacobian=jac, tolerances=tol)
+        except _RETRYABLE as exc:
+            jacobian = None
+            if exact is None and jac is not None:
+                if counter is not None:
+                    counter.stale_jacobian_retries += 1
+                continue
+            cause = _CAUSES[type(exc)]
+        else:
+            if jac is None:
+                exact = res.jacobian
+            jacobian = res.jacobian if res.jacobian_reusable else None
+            eta = normalized_errors(res.eps_mod, res.u_next, tol)
+            refine = None
+            if delta < 1.0:  # sub-tolerance members of the cohort have nothing to repair
+                cohort = select_active(eta, delta, ActivePartition.full(x.size))
+                refine = np.zeros(x.size, dtype=bool)
+                refine[cohort.indices[eta[cohort.indices] > 1.0]] = True
+            if accept_global(eta if refine is None else eta[~refine]):
+                h_next = None  # a micro step landing on its window end has no next step
+                if part is None or h < span:
+                    eps = res.eps_mod if refine is None else delta * res.eps_mod
+                    h_next = next_step_size(h, eps, res.u_next, tol, ctrl)
+                return res, h, eta, refine, rejections, jacobian, h_next
+            cause = "error_test"
+        rejections += 1
+        if counter is not None:
+            counter.rejections[cause] += 1
+        if rejections >= ctrl.max_rejections or h <= ctrl.h_min * (1.0 + 1e-12):
+            raise StepFloorReached(f"step at t={t} rejected {rejections} times, last at h={h}")
+        if cause != "error_test":
+            h = max(h / 2.0, ctrl.h_min)
+        elif refine is None:
+            h = next_step_size(h, res.eps_mod, res.u_next, tol, ctrl)
+        else:
+            h = next_step_size(h, res.eps_mod[~refine], res.u_next[~refine], tol, ctrl)
 
 
 def macro_step(
@@ -243,63 +291,23 @@ def macro_step(
     off the tentative endpoint), the controller's proposal for the next macro
     step and the Jacobian to carry to it (None when it is dropped).
     """
-    ctrl = cfg.controller
-    tol = cfg.tolerances
-    delta = ctrl.delta
-    full = ActivePartition.full(problem.m)
     u = np.asarray(u, dtype=float)
-
     # A caller-truncated step (landing on a sample time) may sit below h_min;
     # the floor only applies to rejection retries.
-    h_cur = min(h, ctrl.h_max)
-    rejections = 0
-    while True:
-        z_in = None
-        if fsal is not None:
-            z_prev, h_prev = fsal
-            z_in = z_prev if h_prev == h_cur else z_prev * (h_cur / h_prev)
-        try:
-            res = _try_step(jacobian, problem, t, u, h_cur, cfg=cfg.newton, z_in=z_in,
-                            counter=counter, tolerances=tol)
-        except _RETRYABLE:
-            jacobian = None
-            rejections += 1
-            _floor_guard(h_cur, rejections, ctrl, "macro step")
-            h_cur = max(h_cur / 2.0, ctrl.h_min)
-            continue
-        jacobian = res.jacobian if res.jacobian_reusable else None
-        u_hat = res.u_next
-        eta = normalized_errors(res.eps_mod, u_hat, tol)
-        # Refinement cohort: within δ of the worst normalized error AND
-        # beyond its own tolerance (sub-tolerance cohort members keep their
-        # tentative values; there is nothing to repair).
-        cohort = select_active(eta, delta, full)
-        refine_mask = np.zeros(problem.m, dtype=bool)
-        refine_mask[cohort.indices[eta[cohort.indices] > 1.0]] = True
-        # Macro gate: every component NOT being refined must meet its own
-        # tolerance; components beyond it are exactly the ones re-integrated
-        # with micro steps, so an isolated error spike triggers refinement
-        # rather than a rejection of the whole step.
-        if accept_global(eta[~refine_mask]):
-            break
-        rejections += 1
-        _floor_guard(h_cur, rejections, ctrl, "macro step")
-        h_cur = next_step_size(h_cur, res.eps_mod[~refine_mask], u_hat[~refine_mask], tol, ctrl)
-
-    eta_max = float(np.max(eta)) if eta.size else 0.0
-    h_prop = next_step_size(h_cur, delta * res.eps_mod, u_hat, tol, ctrl)
-
-    active0 = ActivePartition(problem.m, np.nonzero(refine_mask)[0])
+    h = min(h, cfg.controller.h_max)
+    res, h, eta, refine, rejections, jacobian, h_prop = _attempt(
+        problem, t, u, h, h, cfg.controller.delta, jacobian, cfg, counter, fsal=fsal)
+    active0 = ActivePartition(problem.m, () if refine is None else np.nonzero(refine)[0])
 
     micro_records: List[MicroRecord] = []
-    u_final, fsal_next = u_hat, (res.z_next, h_cur)
+    u_final, fsal_next = res.u_next, (res.z_next, h)
     if not active0.is_empty:
-        micro_records, u_final = _refine(problem, t, u, h_cur, res, active0, cfg, counter)
+        micro_records, u_final = _refine(problem, t, u, h, res, active0, cfg, counter)
         # The refined state differs from the tentative endpoint, so the
         # tentative final stage derivative is stale; the next step recomputes it.
         fsal_next = None
     record = MacroRecord(
-        t_start=t, h=h_cur, eta_max=eta_max, rejections=rejections,
+        t_start=t, h=h, eta_max=float(np.max(eta)), rejections=rejections,
         newton_iterations=res.newton_iterations, active0=active0.indices,
         micro=micro_records,
     )
@@ -324,11 +332,10 @@ def _refine(
     fixed cohort also fixes the latent halo (:func:`~.ode_problem.latent_halo`),
     so the interpolant data is sliced to the halo once per window and the
     context buffer is refreshed on the halo once per distinct stage time.
-    The window starts on the cohort's block of the tentative step's Jacobian
-    and carries it across the micro steps.
+    Each micro step is :func:`_attempt` on the cohort with δ = 1, landing on
+    the window end.  The window starts on the cohort's block of the tentative
+    step's Jacobian and carries it across the micro steps.
     """
-    ctrl = cfg.controller
-    tol = cfg.tolerances
     u_hat = res.u_next
     t_end = t + h_macro
 
@@ -358,53 +365,24 @@ def _refine(
     x = u[active.indices]
     jacobian: Optional[np.ndarray] = block(res.jacobian, active.indices, problem.bandwidth)
     # The first micro proposal comes from the tentative macro error.
-    eps_src = res.eps_mod[active.indices]
-    scale_src = u_hat[active.indices]
-    h_src = h_macro
+    h_mic = next_step_size(h_macro, res.eps_mod[active.indices], u_hat[active.indices],
+                           cfg.tolerances, cfg.controller)
     records: List[MicroRecord] = []
     t_k = t
     time_slack = 1e-10 * h_macro
     while t_k < t_end - time_slack:
         if len(records) >= cfg.max_micro_steps:
-            raise SafetyCapExceeded(
-                f"more than {cfg.max_micro_steps} micro steps in one macro interval"
-            )
-        h_mic = next_step_size(h_src, eps_src, scale_src, tol, ctrl)
-        mic_rej = 0
-        while True:
-            remaining = t_end - t_k
-            if h_mic >= remaining * (1.0 - 1e-9):
-                h_eff, t_tgt = remaining, t_end
-            else:
-                h_eff, t_tgt = h_mic, t_k + h_mic
-            try:
-                mres = _try_step(
-                    jacobian, problem, t_k, x, h_eff, part=active, frozen=latent_context,
-                    cfg=cfg.newton, counter=counter, tolerances=tol,
-                )
-            except _RETRYABLE:
-                jacobian = None
-                mic_rej += 1
-                _floor_guard(h_eff, mic_rej, ctrl, "micro step")
-                h_mic = max(h_eff / 2.0, ctrl.h_min)
-                continue
-            jacobian = mres.jacobian if mres.jacobian_reusable else None
-            eta_mic = normalized_errors(mres.eps_mod, mres.u_next, tol)
-            if accept_global(eta_mic):
-                break
-            mic_rej += 1
-            _floor_guard(h_eff, mic_rej, ctrl, "micro step")
-            h_mic = next_step_size(h_eff, mres.eps_mod, mres.u_next, tol, ctrl)
-
+            raise SafetyCapExceeded(f"more than {cfg.max_micro_steps} micro steps in one macro interval")
+        span = t_end - t_k
+        mres, h_eff, eta, _, rejections, jacobian, h_mic = _attempt(
+            problem, t_k, x, h_mic, span, 1.0, jacobian, cfg, counter,
+            part=active, frozen=latent_context)
         records.append(MicroRecord(
-            t_start=t_k, h=h_eff, active=active.indices,
-            eta_max=float(np.max(eta_mic)),
-            newton_iterations=mres.newton_iterations, rejections=mic_rej,
-            x_start=x,
+            t_start=t_k, h=h_eff, active=active.indices, eta_max=float(np.max(eta)),
+            newton_iterations=mres.newton_iterations, rejections=rejections, x_start=x,
         ))
         x = mres.u_next
-        t_k = t_tgt
-        eps_src, scale_src, h_src = mres.eps_mod, x, h_eff
+        t_k = t_end if h_eff == span else t_k + h_eff
 
     u_final = u_hat.copy()
     u_final[active.indices] = x
@@ -474,6 +452,8 @@ def integrate(
     trace.scalar_evals = counter.scalar_evals
     trace.jacobian_evaluations = counter.jacobian_evaluations
     trace.newton_iterations = counter.newton_iterations
+    trace.rejection_causes = dict(counter.rejections)
+    trace.stale_jacobian_retries = counter.stale_jacobian_retries
     traj = Trajectory(np.asarray(times), np.asarray(states))
     return traj, trace
 

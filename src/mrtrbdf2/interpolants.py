@@ -47,7 +47,14 @@ def quadratic_lagrange(
     h: float,
     zeta: float,
 ) -> np.ndarray:
-    """Quadratic Lagrange interpolation through (0, u_n), (h_λ, u_λ), (h, u_next)."""
+    """Quadratic Lagrange interpolation through (0, u_n), (h_λ, u_λ), (h, u_next).
+
+    No driver calls it: the integrator offers the ``linear`` and ``hermite``
+    kinds only, the two that :func:`~.stability.interpolation_matrix` covers,
+    and a third kind needs its amplification matrix there first.  It stays
+    as the quadratic member of the dense-output set, whose node identities
+    acceptance criterion 11 checks.
+    """
     if not (0.0 < h_lambda < h):
         raise DegenerateNodes(f"interior node {h_lambda} must lie strictly inside (0, {h})")
     zeta = _check_offset(zeta, h)

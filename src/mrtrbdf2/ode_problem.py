@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,11 +105,14 @@ class ActivePartition:
 @dataclass
 class EvalCounter:
     """Work accumulator for one integration run: scalar function evaluations,
-    Jacobian evaluations and Newton iterations (failed ones included)."""
+    Jacobian evaluations, Newton iterations (failed ones included), rejected
+    step attempts by cause, and stale-Jacobian retries (not rejections)."""
 
     scalar_evals: int = 0
     jacobian_evaluations: int = 0
     newton_iterations: int = 0
+    rejections: Counter[str] = field(default_factory=Counter)
+    stale_jacobian_retries: int = 0
 
     def add(self, n: int) -> None:
         self.scalar_evals += int(n)

@@ -55,8 +55,10 @@ def test_run_writes_artifacts_and_schema(tmp_path):
     metrics = summary["metrics"]
     for key in ("workload", "accepted_macro_steps", "rejected_macro_steps",
                 "scalar_function_evaluations", "jacobian_evaluations", "newton_iterations",
-                "wall_time_s"):
+                "rejection_causes", "stale_jacobian_retries", "wall_time_s"):
         assert key in metrics
+    rejected = metrics["rejected_macro_steps"] + metrics["rejected_micro_steps"]
+    assert sum(metrics["rejection_causes"].values()) == rejected
     # the Jacobian is carried across steps, and each step iterates Newton
     steps = metrics["total_accepted_steps"]
     assert 0 < metrics["jacobian_evaluations"] < steps < metrics["newton_iterations"]

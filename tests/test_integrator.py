@@ -2,18 +2,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrtrbdf2 import integrator, trbdf2
 from mrtrbdf2.benchmarks import inverter_chain, reaction_diffusion
 from mrtrbdf2.controller import ControllerConfig, ToleranceSpec
-from mrtrbdf2.errors import SafetyCapExceeded, StepFloorReached
+from mrtrbdf2.errors import (
+    NewtonDivergence,
+    NonFiniteOutput,
+    SafetyCapExceeded,
+    SingularMatrix,
+    StepFloorReached,
+)
 from mrtrbdf2.integrator import (
     MultirateConfig,
     integrate,
     integrate_single_rate,
     macro_step,
 )
-from mrtrbdf2.ode_problem import ActivePartition, OdeProblem, latent_halo
+from mrtrbdf2.ode_problem import ActivePartition, EvalCounter, OdeProblem, latent_halo
 
 
 def linear_problem(a):
@@ -115,13 +123,16 @@ def test_all_active_refinement_matches_micro_grid_replay():
     assert np.array_equal(x, out.state)
 
 
-def logged_steps(monkeypatch):
-    """Record (h, whether a Jacobian was carried in) for every step call."""
+def logged_steps(monkeypatch, fail_at=(), error=NewtonDivergence):
+    """Record (h, whether a Jacobian was carried in) for every step call; the
+    calls numbered in ``fail_at`` (from 1) raise ``error`` instead."""
     calls = []
     original = trbdf2.step
 
     def logged(*args, **kwargs):
         calls.append((args[3], kwargs.get("jacobian") is not None))
+        if len(calls) in fail_at:
+            raise error("injected")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(trbdf2, "step", logged)
@@ -169,6 +180,73 @@ def test_jacobian_is_carried_only_after_fast_newton_stages():
     assert out.jacobian is None
 
 
+def rough_decay():
+    """y' = −100·y with a Jacobian of −20: Newton converges, but too slowly
+    for its Jacobian to be carried to another step."""
+    return OdeProblem(m=1, rhs=lambda t, y: -100.0 * y, jacobian=lambda t, y: np.array([[-20.0]]))
+
+
+def test_error_test_rejection_on_a_fresh_jacobian_evaluates_it_once():
+    p = rough_decay()
+    cfg = default_cfg(tolerances=ToleranceSpec(1e-4, 1e-4), controller=ControllerConfig(delta=1.0))
+    counter = EvalCounter()
+    out = macro_step(p, 0.0, np.array([1.0]), 2e-2, cfg, counter=counter)
+    assert out.record.rejections == 2
+    assert max(out.record.newton_iterations) > trbdf2.REUSE_MAX_ITERATIONS
+    # every attempt starts at (0, 1), so all three share one evaluation
+    assert counter.jacobian_evaluations == 1
+    assert counter.rejections == {"error_test": 2}
+    fresh = trbdf2.step(p, 0.0, np.array([1.0]), out.record.h, cfg=cfg.newton,
+                        tolerances=cfg.tolerances)
+    assert out.state.tobytes() == fresh.u_next.tobytes()
+
+
+def test_failure_on_the_kept_jacobian_halves_h_at_once(monkeypatch):
+    # a fresh evaluation at the same (t, x) would give the same matrix, so
+    # there is no retry at the same h
+    cfg = default_cfg(tolerances=ToleranceSpec(1e-4, 1e-4), controller=ControllerConfig(delta=1.0))
+    counter = EvalCounter()
+    calls = logged_steps(monkeypatch, fail_at={2})
+    macro_step(rough_decay(), 0.0, np.array([1.0]), 2e-2, cfg, counter=counter)
+    (h1, carried1), (h2, carried2), (h3, carried3) = calls[:3]
+    assert (h1, carried1) == (2e-2, False)
+    assert h2 < h1 and carried2
+    assert (h3, carried3) == (h2 / 2.0, True)
+    assert counter.rejections["newton_divergence"] == 1
+    assert counter.stale_jacobian_retries == 0
+
+
+@pytest.mark.parametrize("error, cause", [(NewtonDivergence, "newton_divergence"),
+                                          (NonFiniteOutput, "non_finite_output"),
+                                          (SingularMatrix, "singular_matrix")])
+def test_each_failure_is_counted_by_its_cause(monkeypatch, error, cause):
+    # a failure on a carried Jacobian is a stale-Jacobian retry, not a
+    # rejection; the same failure on the fresh one halves h
+    p = linear_problem([[-1.0]])
+    cfg = default_cfg(controller=ControllerConfig(delta=1.0))
+    counter = EvalCounter()
+    calls = logged_steps(monkeypatch, fail_at={1, 2}, error=error)
+    out = macro_step(p, 0.0, np.array([1.0]), 1e-2, cfg, counter=counter,
+                     jacobian=np.array([[-1.0]]))
+    assert calls[:3] == [(1e-2, True), (1e-2, False), (5e-3, False)]
+    assert out.record.rejections == 1
+    assert counter.rejections == {cause: 1}
+    assert counter.stale_jacobian_retries == 1
+
+
+def test_rejection_causes_sum_to_the_rejected_steps():
+    preset = inverter_chain(m=12, t_end=8.0)
+    for run in (integrate, integrate_single_rate):
+        _, trace = run(preset.problem, preset.t0, preset.t_end, preset.y0, preset.config)
+        summary = trace.summary()
+        causes = summary["rejection_causes"]
+        assert sorted(causes) == sorted(integrator.REJECTION_CAUSES)
+        assert sum(causes.values()) == trace.rejected_macro + trace.rejected_micro
+        # this run meets both the error test and Newton divergence
+        assert causes["error_test"] > 0 and causes["newton_divergence"] > 0
+        assert summary["stale_jacobian_retries"] > 0
+
+
 @pytest.mark.parametrize("make", [lambda: inverter_chain(m=12, t_end=8.0),
                                   lambda: reaction_diffusion(n_cells=16, t_end=0.3)],
                          ids=["inverter_chain", "reaction_diffusion"])
@@ -210,29 +288,69 @@ def test_time_span_must_be_finite_and_forward(t_end):
         integrate(p, float("nan"), 1.0, np.array([1.0]), default_cfg())
 
 
-def test_micro_windows_cover_interval():
-    p = linear_problem(np.diag([-1.0, -800.0]))
-    cfg = default_cfg(tolerances=ToleranceSpec(1e-6, 1e-6), h0=5e-3)
-    out = macro_step(p, 0.0, np.array([1.0, 1.0]), 5e-3, cfg)
-    rec = out.record
-    assert len(rec.micro) >= 1
-    t = rec.t_start
-    for mic in rec.micro:
-        assert mic.t_start == pytest.approx(t, abs=1e-12 * rec.h)
-        t = mic.t_start + mic.h
-    assert t == pytest.approx(rec.t_end, abs=1e-9 * rec.h)
+@st.composite
+def banded_runs(draw, cubic):
+    """A random banded system y' = A·y − c·y³ with decay rates spread over
+    four decades, an initial state, a multirate configuration and an end time."""
+    m = draw(st.integers(2, 8))
+    band = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    rates = draw(st.lists(st.floats(0.0, 4.0), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.diag(-(10.0 ** np.asarray(rates)))
+    a += np.triu(np.tril(rng.uniform(-2.0, 2.0, (m, m)), band[0]), -band[1]) * (1 - np.eye(m))
+    c = draw(cubic)
+    problem = OdeProblem(m=m, rhs=lambda t, y: a @ y - c * y ** 3,
+                         jacobian=lambda t, y: a - np.diag(3.0 * c * y ** 2), bandwidth=band)
+    tol = draw(st.floats(1e-7, 1e-3))
+    cfg = default_cfg(tolerances=ToleranceSpec(tol, tol), h0=1e-3,
+                      controller=ControllerConfig(delta=draw(st.floats(0.01, 1.0))),
+                      interpolant=draw(st.sampled_from(integrator.INTERPOLANT_KINDS)))
+    return problem, rng.uniform(0.5, 1.5, m), cfg, 0.05
 
 
-def test_nested_active_sets():
-    """Every micro step of a window refines exactly the window's cohort."""
-    # On this short inverter chain a cohort re-partitioned after each micro
-    # step would shrink within some windows.
-    preset = inverter_chain(m=10, t_end=8.0, tol_abs=1e-5)
-    traj, trace = integrate(preset.problem, 0.0, 8.0, preset.y0, preset.config)
-    assert any(rec.micro for rec in trace.records)
+def assert_windows_tile_with_a_fixed_cohort(trace, m):
+    """Micro steps tile each macro window exactly, all on the window's
+    cohort, and the workload is the count of space-time pairs."""
+    pairs = 0
     for rec in trace.records:
+        pairs += m + rec.active0.size * len(rec.micro)
+        assert bool(rec.micro) == bool(rec.active0.size)
+        t = rec.t_start
         for mic in rec.micro:
+            assert mic.t_start == t
             assert np.array_equal(mic.active, rec.active0)
+            t = mic.t_start + mic.h
+        if rec.micro:
+            assert rec.micro[-1].h == rec.t_end - rec.micro[-1].t_start
+    assert trace.workload() == pairs
+
+
+# One macro window refined by several micro steps.
+STIFF_PAIR = (linear_problem(np.diag([-1.0, -800.0])), np.ones(2),
+              default_cfg(tolerances=ToleranceSpec(1e-6, 1e-6), h0=5e-3), 5e-3)
+# On this short inverter chain a cohort re-partitioned after each micro step
+# would shrink within some windows.
+SHORT_CHAIN = inverter_chain(m=10, t_end=8.0, tol_abs=1e-5)
+
+
+@settings(max_examples=40, deadline=None)
+@example(run=STIFF_PAIR)
+@given(run=banded_runs(st.just(0.0)))
+def test_micro_windows_cover_interval(run):
+    problem, y0, cfg, t_end = run
+    _, trace = integrate(problem, 0.0, t_end, y0, cfg)
+    assert_windows_tile_with_a_fixed_cohort(trace, problem.m)
+
+
+@settings(max_examples=40, deadline=None)
+@example(run=(SHORT_CHAIN.problem, SHORT_CHAIN.y0, SHORT_CHAIN.config, SHORT_CHAIN.t_end))
+@given(run=banded_runs(st.floats(0.0, 20.0)))
+def test_nested_active_sets(run):
+    """Every micro step of a window refines exactly the window's cohort, also
+    on nonlinear systems, where Newton iterates more than once."""
+    problem, y0, cfg, t_end = run
+    _, trace = integrate(problem, 0.0, t_end, y0, cfg)
+    assert_windows_tile_with_a_fixed_cohort(trace, problem.m)
 
 
 def test_stiff_scalar_no_step_collapse():

@@ -12,6 +12,7 @@ from mrtrbdf2.trbdf2 import (
     EMBEDDED_WEIGHTS,
     GAMMA,
     NEWTON_KAPPA,
+    W_STAGE,
     WEIGHTS,
     NewtonConfig,
     raw_error_estimate,
@@ -263,6 +264,29 @@ def test_rate_stop_stays_within_kappa_of_a_tight_solve():
     for name in ("u_gamma", "u_next"):
         gap = np.max(np.abs(getattr(rate, name) - getattr(tight, name)) * weights)
         assert 0.0 < gap <= NEWTON_KAPPA, name
+    # On a Jacobian twice too stiff, Newton contracts linearly at θ ≈ 1/2, so
+    # the rate estimate is sharp: each stage ends within κ of its own exact
+    # solution, where a stop that weighs ‖Δz‖ by 0.1 in place of d lands 2.2κ
+    # and 2.5κ off.
+    h = 0.02
+    rough = step(p, 0.0, y, h, tolerances=tol, jacobian=2.0 * step(p, 0.0, y, h).jacobian)
+    stages = ((GAMMA * h, y + D_STAGE * rough.z_n, rough.z_gamma),
+              (h, y + W_STAGE * (rough.z_n + rough.z_gamma), rough.z_next))
+    for t_stage, base, z in stages:
+        exact = exact_stage_solution(p, t_stage, base, z, h)
+        gap = D_STAGE * np.max(np.abs(z - exact) * weights)
+        assert 0.0 < gap <= NEWTON_KAPPA, t_stage
+
+
+def exact_stage_solution(p, t, base, z, h):
+    """z = h·f(t, base + d·z) by full Newton with a dense solve, to roundoff."""
+    for _ in range(50):
+        y = base + D_STAGE * z
+        dz = np.linalg.solve(np.eye(z.size) - D_STAGE * h * p.jacobian(t, y), h * p.rhs(t, y) - z)
+        z = z + dz
+        if np.max(np.abs(dz)) <= 1e-15:
+            return z
+    raise AssertionError("reference Newton did not converge")
 
 
 def test_carried_jacobian_is_used_and_returned():
