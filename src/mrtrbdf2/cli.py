@@ -93,11 +93,11 @@ def _step_rows(trace: IntegrationTrace):
                 *rec.newton_iterations, m),
                (idx, rec.t_start, rec.t_end, all_components))
         idx += 1
+        n_active, cohort = rec.active0.size, " ".join(str(i) for i in rec.active0)
         for mic in rec.micro:
             yield (("micro", idx, mic.t_start, mic.h, mic.eta_max, mic.rejections,
-                    *mic.newton_iterations, len(mic.active)),
-                   (idx, mic.t_start, mic.t_start + mic.h,
-                    " ".join(str(i) for i in mic.active)))
+                    *mic.newton_iterations, n_active),
+                   (idx, mic.t_start, mic.t_start + mic.h, cohort))
             idx += 1
 
 

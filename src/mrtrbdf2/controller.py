@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyActiveSet
-from .ode_problem import ActivePartition
 
 # Error floor guarding the step-size formula against division blow-up.
 EPS_FLOOR = 1e-300
@@ -90,23 +89,14 @@ def accept_global(eta: np.ndarray) -> bool:
     return bool(np.max(eta) <= 1.0)
 
 
-def select_active(eta: np.ndarray, delta: float, scope: ActivePartition) -> ActivePartition:
-    """Components of ``scope`` whose normalized error exceeds δ·max η.
+def select_active(eta: np.ndarray, delta: float) -> np.ndarray:
+    """Mask of the components whose normalized error exceeds δ·max η.
 
-    ``eta`` is indexed like ``scope`` (one entry per scope component).  The
-    comparison is strict, so δ = 1 selects nothing and all-zero errors give
-    the empty set.
+    The comparison is strict, so δ = 1 selects nothing and all-zero errors
+    give the empty set.
     """
     eta = np.asarray(eta, dtype=float)
-    if eta.shape[0] != scope.size:
-        raise DimensionMismatch(f"eta length {eta.shape[0]} != scope size {scope.size}")
-    if scope.is_empty:
-        return ActivePartition.empty(scope.m)
-    mx = float(np.max(eta))
-    if mx <= 0.0:
-        return ActivePartition.empty(scope.m)
-    mask = eta > delta * mx
-    return ActivePartition(scope.m, scope.indices[mask])
+    return eta > delta * np.max(eta, initial=0.0)
 
 
 def next_step_size(

@@ -46,7 +46,7 @@ class StepFloorReached(ToolkitError):
 
 
 class SafetyCapExceeded(ToolkitError):
-    """The micro-step safety cap was exceeded within a single macro interval."""
+    """A run spent its budget of step attempts (``MultirateConfig.max_steps``)."""
 
 
 class UnknownSystem(ToolkitError):

@@ -24,9 +24,10 @@ A micro step reads a latent context built once per macro window.  Its halo is
 the latent components that the cohort's rows of f depend on through the
 declared Jacobian bandwidth (all of them when none is declared); only those
 are reconstructed, into one length-m buffer seeded from the tentative
-endpoint, and only when the stage time changes.  Rows of f outside the cohort
-are computed but never gathered, which keeps every gathered value bitwise
-equal to a full-length reconstruction.
+endpoint, and only when the stage time changes; subsystem calls write the
+cohort's state into it in place.  Rows of f outside the cohort are computed
+but never gathered, which keeps every gathered value bitwise equal to a
+full-length reconstruction.
 """
 
 from __future__ import annotations
@@ -70,31 +71,31 @@ REJECTION_CAUSES = ("error_test", *_CAUSES.values())
 @dataclass
 class MultirateConfig:
     """Everything one integration run needs: tolerances, controller knobs,
-    interpolant choice, initial step and Newton settings."""
+    interpolant choice, initial step, Newton settings and the budget of step
+    attempts (macro and micro, rejected ones included) for the whole run."""
 
     tolerances: ToleranceSpec
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     interpolant: str = "hermite"
     h0: float = 1e-2
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    max_micro_steps: int = 1_000_000
+    max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.interpolant not in INTERPOLANT_KINDS:
             raise ValueError(f"interpolant must be one of {INTERPOLANT_KINDS}")
         if not (self.controller.h_min <= self.h0 <= self.controller.h_max):
             raise ValueError("h0 must lie within [h_min, h_max]")
-        if self.max_micro_steps < 1:
-            raise ValueError("micro-step cap must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("step budget must be >= 1")
 
 
 @dataclass
 class MicroRecord:
-    """One accepted micro step: window, active set and solver diagnostics."""
+    """One accepted micro step of the window's cohort: window and diagnostics."""
 
     t_start: float
     h: float
-    active: np.ndarray
     eta_max: float
     newton_iterations: Tuple[int, int]
     rejections: int
@@ -103,7 +104,7 @@ class MicroRecord:
 
 @dataclass
 class MacroRecord:
-    """One accepted macro step with its refinement chain."""
+    """One accepted macro step with its refinement cohort and chain."""
 
     t_start: float
     h: float
@@ -148,9 +149,8 @@ class IntegrationTrace:
 
     def workload(self) -> int:
         """Space-time points computed: m per macro step, |active| per micro step."""
-        w = self.m * self.accepted_macro
-        w += sum(len(mic.active) for r in self.records for mic in r.micro)
-        return w
+        return self.m * self.accepted_macro + sum(r.active0.size * len(r.micro)
+                                                  for r in self.records)
 
     def summary(self) -> dict:
         return {
@@ -205,7 +205,7 @@ class MacroOutcome:
 
 
 def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float, delta: float,
-             jacobian: Optional[np.ndarray], cfg: MultirateConfig, counter: Optional[EvalCounter],
+             jacobian: Optional[np.ndarray], cfg: MultirateConfig, counter: EvalCounter,
              fsal: Optional[Tuple[np.ndarray, float]] = None,
              part: Optional[ActivePartition] = None, frozen=None) -> tuple:
     """Retry one step from (t, x) until it passes, for macro and micro steps alike.
@@ -216,14 +216,18 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
     ``fsal`` is a macro step's (z, h_prev) hand-off, ``part``/``frozen`` a
     micro step's cohort and latent context.  The Jacobian evaluated at (t, x)
     serves all later attempts, and a failure on it halves h with no retry.
-    Rejections are counted on ``counter`` by cause.  Returns (step, h, η,
-    refinement mask or None when δ = 1, rejections, Jacobian to carry or None,
-    proposal from δ·ε, or None for a micro step that lands on ``span``).
+    Every attempt is charged to the run's budget ``cfg.max_steps`` on
+    ``counter``, and rejections are counted there by cause.  Returns (step, h,
+    η, refinement mask or None when δ = 1, rejections, Jacobian to carry or
+    None, proposal from δ·ε, or None for a micro step that lands on ``span``).
     """
     ctrl, tol = cfg.controller, cfg.tolerances
     exact: Optional[np.ndarray] = None  # the Jacobian at (t, x), once evaluated
     rejections = 0
     while True:
+        if counter.step_attempts >= cfg.max_steps:
+            raise SafetyCapExceeded(f"step budget of {cfg.max_steps} attempts spent at t={t}")
+        counter.step_attempts += 1
         if h >= span * (1.0 - 1e-9):
             h = span
         z_in = None
@@ -237,8 +241,7 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
         except _RETRYABLE as exc:
             jacobian = None
             if exact is None and jac is not None:
-                if counter is not None:
-                    counter.stale_jacobian_retries += 1
+                counter.stale_jacobian_retries += 1
                 continue
             cause = _CAUSES[type(exc)]
         else:
@@ -248,9 +251,7 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
             eta = normalized_errors(res.eps_mod, res.u_next, tol)
             refine = None
             if delta < 1.0:  # sub-tolerance members of the cohort have nothing to repair
-                cohort = select_active(eta, delta, ActivePartition.full(x.size))
-                refine = np.zeros(x.size, dtype=bool)
-                refine[cohort.indices[eta[cohort.indices] > 1.0]] = True
+                refine = select_active(eta, delta) & (eta > 1.0)
             if accept_global(eta if refine is None else eta[~refine]):
                 h_next = None  # a micro step landing on its window end has no next step
                 if part is None or h < span:
@@ -259,8 +260,7 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
                 return res, h, eta, refine, rejections, jacobian, h_next
             cause = "error_test"
         rejections += 1
-        if counter is not None:
-            counter.rejections[cause] += 1
+        counter.rejections[cause] += 1
         if rejections >= ctrl.max_rejections or h <= ctrl.h_min * (1.0 + 1e-12):
             raise StepFloorReached(f"step at t={t} rejected {rejections} times, last at h={h}")
         if cause != "error_test":
@@ -289,27 +289,30 @@ def macro_step(
     Returns the refined state at the accepted end time together with the
     trace record, the next FSAL carrier (None when refinement moved the state
     off the tentative endpoint), the controller's proposal for the next macro
-    step and the Jacobian to carry to it (None when it is dropped).
+    step and the Jacobian to carry to it (None when it is dropped).  Without a
+    ``counter``, ``cfg.max_steps`` budgets this call alone.
     """
     u = np.asarray(u, dtype=float)
+    if counter is None:
+        counter = EvalCounter()
     # A caller-truncated step (landing on a sample time) may sit below h_min;
     # the floor only applies to rejection retries.
     h = min(h, cfg.controller.h_max)
     res, h, eta, refine, rejections, jacobian, h_prop = _attempt(
         problem, t, u, h, h, cfg.controller.delta, jacobian, cfg, counter, fsal=fsal)
-    active0 = ActivePartition(problem.m, () if refine is None else np.nonzero(refine)[0])
+    active0 = np.empty(0, dtype=np.intp) if refine is None else np.flatnonzero(refine)
 
     micro_records: List[MicroRecord] = []
     u_final, fsal_next = res.u_next, (res.z_next, h)
-    if not active0.is_empty:
-        micro_records, u_final = _refine(problem, t, u, h, res, active0, cfg, counter)
+    if active0.size:
+        cohort = ActivePartition(problem.m, active0)
+        micro_records, u_final = _refine(problem, t, u, h, res, cohort, cfg, counter)
         # The refined state differs from the tentative endpoint, so the
         # tentative final stage derivative is stale; the next step recomputes it.
         fsal_next = None
     record = MacroRecord(
         t_start=t, h=h, eta_max=float(np.max(eta)), rejections=rejections,
-        newton_iterations=res.newton_iterations, active0=active0.indices,
-        micro=micro_records,
+        newton_iterations=res.newton_iterations, active0=active0, micro=micro_records,
     )
     return MacroOutcome(u_final, record, fsal_next, h_prop, jacobian)
 
@@ -322,7 +325,7 @@ def _refine(
     res: trbdf2.StepResult,
     active: ActivePartition,
     cfg: MultirateConfig,
-    counter: Optional[EvalCounter],
+    counter: EvalCounter,
 ) -> Tuple[List[MicroRecord], np.ndarray]:
     """Micro-step the flagged components across [t, t + h_macro].
 
@@ -339,9 +342,9 @@ def _refine(
     u_hat = res.u_next
     t_end = t + h_macro
 
-    # The active entries are overwritten by the subsystem scatter; the
-    # latent entries outside the halo keep the tentative endpoint, which no
-    # gathered row reads.
+    # Subsystem calls write the cohort's entries in place, and nothing else
+    # reads them; the latent entries outside the halo keep the tentative
+    # endpoint, which no gathered row reads.
     halo = latent_halo(problem, active)
     hermite = HermiteData(
         u_n=u[halo], u_gamma=res.u_gamma[halo], u_next=u_hat[halo],
@@ -371,14 +374,12 @@ def _refine(
     t_k = t
     time_slack = 1e-10 * h_macro
     while t_k < t_end - time_slack:
-        if len(records) >= cfg.max_micro_steps:
-            raise SafetyCapExceeded(f"more than {cfg.max_micro_steps} micro steps in one macro interval")
         span = t_end - t_k
         mres, h_eff, eta, _, rejections, jacobian, h_mic = _attempt(
             problem, t_k, x, h_mic, span, 1.0, jacobian, cfg, counter,
             part=active, frozen=latent_context)
         records.append(MicroRecord(
-            t_start=t_k, h=h_eff, active=active.indices, eta_max=float(np.max(eta)),
+            t_start=t_k, h=h_eff, eta_max=float(np.max(eta)),
             newton_iterations=mres.newton_iterations, rejections=rejections, x_start=x,
         ))
         x = mres.u_next

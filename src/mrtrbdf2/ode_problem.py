@@ -3,10 +3,11 @@ subsystem evaluation.
 
 An :class:`OdeProblem` packages the right-hand side f(t, y) of y' = f(t, y)
 together with an optional analytic Jacobian and an optional declared Jacobian
-bandwidth.  An :class:`ActivePartition` names a subset of components;
-evaluating the subsystem obtained by freezing the complementary (latent)
-components is a scatter / full evaluation / gather round trip, so no reduced
-right-hand side ever has to be written by hand.
+bandwidth.  An :class:`ActivePartition` names a subset of components; the
+subsystem obtained by freezing the complementary (latent) components is
+evaluated by writing the active state in place into a caller-owned length-m
+context and gathering the active rows of f there, so no reduced right-hand
+side ever has to be written by hand.
 
 The problem layer has one operation of each kind: :func:`eval_subsystem_rhs`
 for f and :func:`subsystem_jacobian` for ∂f/∂y (analytic when the problem has
@@ -83,14 +84,6 @@ class ActivePartition:
         mask[self.indices] = False
         return ActivePartition(self.m, np.nonzero(mask)[0])
 
-    def scatter(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """Return a copy of ``base`` with the active entries replaced by ``x``."""
-        out = np.array(base, dtype=float, copy=True)
-        if np.asarray(x).shape[0] != self.size:
-            raise DimensionMismatch(f"substate length {len(x)} != active size {self.size}")
-        out[self.indices] = x
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ActivePartition)
@@ -105,10 +98,11 @@ class ActivePartition:
 @dataclass
 class EvalCounter:
     """Work accumulator for one integration run: scalar function evaluations,
-    Jacobian evaluations, Newton iterations (failed ones included), rejected
-    step attempts by cause, and stale-Jacobian retries (not rejections)."""
+    Jacobian evaluations, Newton iterations (failed ones included), step
+    attempts, rejections by cause, and stale-Jacobian retries (not rejections)."""
 
     scalar_evals: int = 0
+    step_attempts: int = 0
     jacobian_evaluations: int = 0
     newton_iterations: int = 0
     rejections: Counter[str] = field(default_factory=Counter)
@@ -157,26 +151,28 @@ def eval_subsystem_rhs(
     p: OdeProblem,
     t: float,
     x: np.ndarray,
-    frozen: np.ndarray,
+    frozen: Optional[np.ndarray],
     part: ActivePartition,
     counter: EvalCounter | None = None,
 ) -> np.ndarray:
     """Active-component derivative with the latent components frozen.
 
-    Scatters ``x`` into ``frozen`` at the active indices, evaluates the full
-    right-hand side, and gathers back the active rows; for the full partition
+    Writes ``x`` in place into the length-m context ``frozen`` at the active
+    indices, leaving its latent entries untouched, evaluates the full
+    right-hand side there and gathers the active rows.  The full system is
+    evaluated on ``x`` itself, with ``frozen`` unused (it may be None), and
     the right-hand side's own array is returned.  Costs |active| scalar
     evaluations on the counter.
     """
-    if part.is_empty:
-        if counter is not None:
-            counter.add(0)
-        return np.empty(0)
-    full = part.scatter(x, frozen)
-    f = _call_rhs(p, t, full)
+    if len(x) != part.size:
+        raise DimensionMismatch(f"substate length {len(x)} != active size {part.size}")
+    if part.is_full:
+        out = _call_rhs(p, t, x)
+    else:
+        frozen[part.indices] = x
+        out = _call_rhs(p, t, frozen)[part.indices]
     if counter is not None:
         counter.add(part.size)
-    out = f if part.is_full else f[part.indices]
     if not np.isfinite(out).all():
         raise NonFiniteOutput(f"subsystem rhs produced non-finite values at t={t}")
     return out

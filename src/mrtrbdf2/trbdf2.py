@@ -210,11 +210,13 @@ def step(
     """Advance the (sub)system one TR-BDF2 step of size h from (t, u).
 
     ``u`` holds the active components when ``part`` names a proper subsystem;
-    ``frozen`` then maps a stage time to the full-state context carrying the
+    ``frozen`` then maps a stage time to the length-m context carrying the
     latent values (so latent components reconstructed by interpolation are
     sampled at each stage time instead of being held fixed across the step,
-    which would degrade the step to first order).  A full step needs no
-    ``frozen``.  ``z_in`` is an already-scaled first-stage derivative
+    which would degrade the step to first order).  Every rhs call and a fresh
+    Jacobian write the active state into that context in place; its latent
+    entries are only read.  ``frozen=None`` is the full system, evaluated on
+    the state itself.  ``z_in`` is an already-scaled first-stage derivative
     h·f(t, u) (the FSAL hand-off from a previous step); when absent it is
     computed.
 
@@ -234,25 +236,26 @@ def step(
     u = np.asarray(u, dtype=float)
     if part is None:
         part = ActivePartition.full(problem.m)
-    if frozen is None:
-        if not part.is_full:
-            raise DimensionMismatch("a proper subsystem step needs the frozen full-state context")
-
-        def frozen(ts: float) -> np.ndarray:
-            return u
-
+    if part.is_full:
+        frozen = None
+    elif frozen is None:
+        raise DimensionMismatch("a proper subsystem step needs the frozen full-state context")
     if u.shape[0] != part.size:
         raise DimensionMismatch(f"state length {u.shape[0]} != active size {part.size}")
 
     def f_sub(ts: float, x: np.ndarray) -> np.ndarray:
-        return eval_subsystem_rhs(problem, ts, x, frozen(ts), part, counter)
+        return eval_subsystem_rhs(problem, ts, x, frozen and frozen(ts), part, counter)
 
     z_n = h * f_sub(t, u) if z_in is None else np.asarray(z_in, dtype=float)
     if z_n.shape != u.shape:
         raise DimensionMismatch("z_in has the wrong shape")
 
     if jacobian is None:
-        jacobian = subsystem_jacobian(problem, t, part.scatter(u, frozen(t)), part, counter)
+        y = u
+        if frozen is not None:
+            y = frozen(t)
+            y[part.indices] = u
+        jacobian = subsystem_jacobian(problem, t, y, part, counter)
     elif jacobian.shape[-1] != part.size:
         raise DimensionMismatch(
             f"jacobian of shape {jacobian.shape} for {part.size} active components"

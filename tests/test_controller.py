@@ -10,7 +10,6 @@ from mrtrbdf2.controller import (
     select_active,
 )
 from mrtrbdf2.errors import EmptyActiveSet
-from mrtrbdf2.ode_problem import ActivePartition
 
 
 def test_tolerance_validation():
@@ -67,38 +66,27 @@ def test_accept_global_boundaries():
 
 
 def test_select_active_threshold():
-    scope = ActivePartition.full(3)
-    out = select_active(np.array([1.0, 0.3, 0.05]), 0.1, scope)
-    assert out.indices.tolist() == [0, 1]
+    out = select_active(np.array([1.0, 0.3, 0.05]), 0.1)
+    assert out.tolist() == [True, True, False]
 
 
 def test_select_active_small_delta_selects_all():
-    scope = ActivePartition.full(4)
     eta = np.array([0.2, 0.9, 0.5, 0.1])
-    out = select_active(eta, 1e-12, scope)
-    assert out.indices.tolist() == [0, 1, 2, 3]
+    out = select_active(eta, 1e-12)
+    assert out.tolist() == [True, True, True, True]
 
 
 def test_select_active_tie_handling():
-    scope = ActivePartition.full(3)
     eta = np.array([0.8, 0.8, 0.1])
-    out = select_active(eta, 0.5, scope)
+    out = select_active(eta, 0.5)
     # brute-force threshold check
     expected = [i for i in range(3) if eta[i] > 0.5 * eta.max()]
-    assert out.indices.tolist() == expected == [0, 1]
+    assert np.flatnonzero(out).tolist() == expected == [0, 1]
 
 
 def test_select_active_zero_errors_and_delta_one():
-    scope = ActivePartition.full(3)
-    assert select_active(np.zeros(3), 0.5, scope).is_empty
-    assert select_active(np.array([0.3, 0.2, 0.1]), 1.0, scope).is_empty
-
-
-def test_select_active_on_subscope():
-    scope = ActivePartition(6, [1, 3, 5])
-    out = select_active(np.array([0.9, 0.01, 0.5]), 0.1, scope)
-    assert out.indices.tolist() == [1, 5]
-    assert np.all(np.isin(out.indices, scope.indices))
+    assert not select_active(np.zeros(3), 0.5).any()
+    assert not select_active(np.array([0.3, 0.2, 0.1]), 1.0).any()
 
 
 def test_next_step_size_ratio_one():
@@ -138,12 +126,11 @@ def test_property_select_active_scale_invariance():
     rng = np.random.default_rng(101)
     for _ in range(N_PROPERTY_TRIALS):
         n = int(rng.integers(1, 12))
-        scope = ActivePartition.full(n)
         eta = rng.uniform(0.0, 10.0, size=n)
         delta = float(rng.uniform(0.01, 1.0))
         c = float(rng.uniform(1e-6, 1e6))
-        a = select_active(eta, delta, scope).indices
-        b = select_active(c * eta, delta, scope).indices
+        a = select_active(eta, delta)
+        b = select_active(c * eta, delta)
         assert np.array_equal(a, b)
 
 
@@ -151,11 +138,10 @@ def test_property_select_active_delta_monotone():
     rng = np.random.default_rng(202)
     for _ in range(N_PROPERTY_TRIALS):
         n = int(rng.integers(1, 12))
-        scope = ActivePartition.full(n)
         eta = rng.uniform(0.0, 5.0, size=n)
         d1, d2 = sorted(rng.uniform(0.01, 1.0, size=2))
-        s1 = set(select_active(eta, d1, scope).indices.tolist())
-        s2 = set(select_active(eta, d2, scope).indices.tolist())
+        s1 = set(np.flatnonzero(select_active(eta, d1)).tolist())
+        s2 = set(np.flatnonzero(select_active(eta, d2)).tolist())
         assert s2.issubset(s1)
 
 

@@ -1,4 +1,6 @@
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from mrtrbdf2.errors import (
     SafetyCapExceeded,
     SingularMatrix,
     StepFloorReached,
+    ToolkitError,
 )
 from mrtrbdf2.integrator import (
+    IntegrationTrace,
     MultirateConfig,
     integrate,
     integrate_single_rate,
@@ -102,6 +106,23 @@ def test_latent_components_keep_tentative_values():
     assert np.array_equal(out.state[~mask], tentative.u_next[~mask])
 
 
+@contextmanager
+def stepped_components():
+    """Log (t, h, stepped components, or None for a full step) of every
+    ``trbdf2.step`` call that returns, in call order."""
+    steps = []
+    original = trbdf2.step
+
+    def logged(*args, **kwargs):
+        res = original(*args, **kwargs)
+        part = kwargs.get("part")
+        steps.append((args[1], args[3], None if part is None else part.indices.tolist()))
+        return res
+
+    with mock.patch.object(trbdf2, "step", logged):
+        yield steps
+
+
 def test_all_active_refinement_matches_micro_grid_replay():
     # identical dynamics in every component -> the whole state is refined;
     # replaying the recorded micro grid step by step must reproduce the
@@ -110,14 +131,16 @@ def test_all_active_refinement_matches_micro_grid_replay():
     p = linear_problem(a)
     cfg = default_cfg(tolerances=ToleranceSpec(0.0, 1e-10), h0=0.05)
     u0 = np.array([1.0, 1.0, 1.0])
-    out = macro_step(p, 0.0, u0, 0.05, cfg)
+    with stepped_components() as steps:
+        out = macro_step(p, 0.0, u0, 0.05, cfg)
     rec = out.record
     assert rec.active0.tolist() == [0, 1, 2]
     assert len(rec.micro) >= 2
+    # every micro step was stepped on all three components
+    assert_windows_tile_with_a_fixed_cohort(IntegrationTrace(m=3, records=[rec]), steps)
     x = u0.copy()
     part = ActivePartition.full(3)
     for mic in rec.micro:
-        assert mic.active.tolist() == [0, 1, 2]
         res = trbdf2.step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton)
         x = res.u_next
     assert np.array_equal(x, out.state)
@@ -308,20 +331,32 @@ def banded_runs(draw, cubic):
     return problem, rng.uniform(0.5, 1.5, m), cfg, 0.05
 
 
-def assert_windows_tile_with_a_fixed_cohort(trace, m):
-    """Micro steps tile each macro window exactly, all on the window's
-    cohort, and the workload is the count of space-time pairs."""
+def assert_windows_tile_with_a_fixed_cohort(trace, steps):
+    """Micro steps tile each macro window exactly, each is stepped on the
+    window's cohort, and the workload is the count of space-time pairs.
+
+    ``steps`` is the :func:`stepped_components` log of the run: every
+    subsystem step that returned, error-test rejections included, must start
+    at its micro step's start and advance exactly the cohort ``active0``.
+    """
+    sub_steps = iter([s for s in steps if s[2] is not None])
     pairs = 0
     for rec in trace.records:
-        pairs += m + rec.active0.size * len(rec.micro)
+        pairs += trace.m + rec.active0.size * len(rec.micro)
         assert bool(rec.micro) == bool(rec.active0.size)
         t = rec.t_start
         for mic in rec.micro:
             assert mic.t_start == t
-            assert np.array_equal(mic.active, rec.active0)
+            while True:  # the attempts of this micro step, the accepted one last
+                t_step, h_step, stepped = next(sub_steps)
+                assert t_step == mic.t_start
+                assert stepped == rec.active0.tolist()
+                if h_step == mic.h:
+                    break
             t = mic.t_start + mic.h
         if rec.micro:
             assert rec.micro[-1].h == rec.t_end - rec.micro[-1].t_start
+    assert next(sub_steps, None) is None
     assert trace.workload() == pairs
 
 
@@ -338,8 +373,9 @@ SHORT_CHAIN = inverter_chain(m=10, t_end=8.0, tol_abs=1e-5)
 @given(run=banded_runs(st.just(0.0)))
 def test_micro_windows_cover_interval(run):
     problem, y0, cfg, t_end = run
-    _, trace = integrate(problem, 0.0, t_end, y0, cfg)
-    assert_windows_tile_with_a_fixed_cohort(trace, problem.m)
+    with stepped_components() as steps:
+        _, trace = integrate(problem, 0.0, t_end, y0, cfg)
+    assert_windows_tile_with_a_fixed_cohort(trace, steps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,8 +385,31 @@ def test_nested_active_sets(run):
     """Every micro step of a window refines exactly the window's cohort, also
     on nonlinear systems, where Newton iterates more than once."""
     problem, y0, cfg, t_end = run
-    _, trace = integrate(problem, 0.0, t_end, y0, cfg)
-    assert_windows_tile_with_a_fixed_cohort(trace, problem.m)
+    with stepped_components() as steps:
+        _, trace = integrate(problem, 0.0, t_end, y0, cfg)
+    assert_windows_tile_with_a_fixed_cohort(trace, steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=banded_runs(st.floats(0.0, 20.0)),
+       samples=st.lists(st.floats(0.0, 0.05, exclude_min=True, exclude_max=True,
+                                  allow_subnormal=False), max_size=4))
+def test_delta_one_is_single_rate_and_lands_on_samples(run, samples):
+    """δ = 1 is the adaptive single-rate method bitwise, through full steps
+    only, and every sample time is landed on exactly."""
+    problem, y0, cfg, t_end = run
+    cfg_d1 = replace(cfg, controller=replace(cfg.controller, delta=1.0))
+    with stepped_components() as steps:
+        traj, trace = integrate(problem, 0.0, t_end, y0, cfg_d1, t_samples=samples)
+    ref, ref_trace = integrate_single_rate(problem, 0.0, t_end, y0, cfg, t_samples=samples)
+    assert traj.times.tobytes() == ref.times.tobytes()
+    assert traj.states.tobytes() == ref.states.tobytes()
+    assert trace.summary() == ref_trace.summary()
+    assert trace.accepted_micro == 0
+    assert all(stepped is None for *_, stepped in steps)
+    for s in samples:
+        (i,) = np.flatnonzero(traj.times == s)
+        assert traj.state_at(s).tobytes() == traj.states[i].tobytes()
 
 
 def test_stiff_scalar_no_step_collapse():
@@ -404,18 +463,37 @@ def test_step_floor_reached():
 
 
 def test_micro_safety_cap():
+    # the step budget counts micro attempts too: one more than the macro
+    # attempts cannot finish a window of two or more micro steps
     p = linear_problem(np.diag([-1.0, -1000.0]))
-    cfg = default_cfg(tolerances=ToleranceSpec(1e-6, 1e-6), h0=1e-2, max_micro_steps=1)
+    cfg = default_cfg(tolerances=ToleranceSpec(1e-6, 1e-6), h0=1e-2)
+    out = macro_step(p, 0.0, np.array([1.0, 1.0]), 1e-2, cfg)
+    assert len(out.record.micro) >= 2
     with pytest.raises(SafetyCapExceeded):
-        macro_step(p, 0.0, np.array([1.0, 1.0]), 1e-2, cfg)
+        macro_step(p, 0.0, np.array([1.0, 1.0]), 1e-2,
+                   replace(cfg, max_steps=out.record.rejections + 2))
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_single_rate])
+def test_step_budget_ends_a_run_pinned_at_h_min(run):
+    # h_max = 2·h_min pins the controller near the floor, so t = 1 is 5e5
+    # steps away; the run ends after exactly max_steps attempts instead
+    h_min = 1e-6
+    cfg = default_cfg(h0=h_min, max_steps=300,
+                      controller=ControllerConfig(h_min=h_min, h_max=2.0 * h_min))
+    with stepped_components() as steps, pytest.raises(SafetyCapExceeded, match="300 attempts"):
+        run(linear_problem([[-1.0, 0.0], [0.0, -1e3]]), 0.0, 1.0, np.ones(2), cfg)
+    assert len(steps) == 300
+    assert issubclass(SafetyCapExceeded, ToolkitError)  # the CLI exits 3 on it
 
 
 def test_workload_counts_components():
     p = linear_problem(np.diag([-1.0, -1000.0]))
     cfg = default_cfg(tolerances=ToleranceSpec(1e-6, 1e-6), h0=1e-3)
     traj, trace = integrate(p, 0.0, 0.05, np.ones(2), cfg)
+    # each micro step records the substate it started from
     expected = 2 * trace.accepted_macro + sum(
-        len(mic.active) for rec in trace.records for mic in rec.micro
+        mic.x_start.size for rec in trace.records for mic in rec.micro
     )
     assert trace.workload() == expected
 

@@ -100,13 +100,32 @@ def test_partition_basics():
         ActivePartition(3, [5])
 
 
-def test_scatter_gather_round_trip():
+def test_subsystem_call_writes_only_the_active_entries_of_its_context():
+    seen = []
+
+    def rhs(t, y):
+        seen.append(y.copy())
+        return -y
+
+    p = OdeProblem(m=4, rhs=rhs)
     part = ActivePartition(4, [0, 2])
     x = np.array([7.0, 9.0])
-    base = np.array([0.0, 1.0, 2.0, 3.0])
-    full = part.scatter(x, base)
-    assert np.array_equal(full, [7.0, 1.0, 9.0, 3.0])
-    assert np.array_equal(full[part.indices], x)
+    context = np.array([-0.0, 1.0, np.nan, 3.0])
+    before = context.copy()
+    got = eval_subsystem_rhs(p, 0.0, x, context, part)
+    assert np.array_equal(seen[-1], [7.0, 1.0, 9.0, 3.0])
+    assert np.array_equal(got, -x)
+    # x lands at the active entries; every other entry keeps its bytes
+    assert np.array_equal(context[part.indices], x)
+    latent = part.complement().indices
+    assert context[latent].tobytes() == before[latent].tobytes()
+    with pytest.raises(DimensionMismatch):
+        eval_subsystem_rhs(p, 0.0, np.ones(3), context, part)
+    # the full system is evaluated on the state itself: the context is not touched
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    eval_subsystem_rhs(p, 0.0, y, context, ActivePartition.full(4))
+    assert seen[-1].tobytes() == y.tobytes()
+    assert context.tobytes() == np.array([7.0, 1.0, 9.0, 3.0]).tobytes()
 
 
 def test_subsystem_full_matches_eval_rhs():
