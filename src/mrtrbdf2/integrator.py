@@ -18,7 +18,10 @@ Jacobian is carried from macro step to macro step, into a refinement window
 as the cohort's block, and across its micro steps; it is dropped after a slow
 Newton stage (:attr:`~.trbdf2.StepResult.jacobian_reusable`).  A Newton
 failure on a carried Jacobian is retried once at the same h on a fresh one,
-which is not a rejection; a failure on a fresh Jacobian halves h.
+which is not a rejection; a failure on a fresh Jacobian halves h and keeps
+that Jacobian, which the smaller step starts from as well.  An FSAL value
+that cannot be rescaled to the new h (h/h_prev overflows after a landing step
+near the smallest subnormal) is dropped, and the step evaluates its own.
 
 A micro step reads a latent context built once per macro window.  Its halo is
 the latent components that the cohort's rows of f depend on through the
@@ -215,7 +218,8 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
     {η > δ·max η} ∩ {η > 1} meets its tolerance; δ = 1 flags nothing.
     ``fsal`` is a macro step's (z, h_prev) hand-off, ``part``/``frozen`` a
     micro step's cohort and latent context.  The Jacobian evaluated at (t, x)
-    serves all later attempts, and a failure on it halves h with no retry.
+    serves all later attempts, also after a failure on it, which halves h
+    with no retry.
     Every attempt is charged to the run's budget ``cfg.max_steps`` on
     ``counter``, and rejections are counted there by cause.  Returns (step, h,
     η, refinement mask or None when δ = 1, rejections, Jacobian to carry or
@@ -233,7 +237,11 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
         z_in = None
         if fsal is not None:
             z_prev, h_prev = fsal
-            z_in = z_prev if h_prev == h else z_prev * (h / h_prev)
+            ratio = h / h_prev
+            if h_prev == h:
+                z_in = z_prev
+            elif math.isfinite(ratio):  # after a landing step near 5e-324 it overflows
+                z_in = z_prev * ratio
         jac = jacobian if exact is None else exact
         try:
             res = trbdf2.step(problem, t, x, h, part=part, frozen=frozen, z_in=z_in,
@@ -243,6 +251,8 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
             if exact is None and jac is not None:
                 counter.stale_jacobian_retries += 1
                 continue
+            if jac is None:  # the Jacobian step evaluated, if it got that far
+                exact = getattr(exc, "jacobian", None)
             cause = _CAUSES[type(exc)]
         else:
             if jac is None:

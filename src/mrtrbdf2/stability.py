@@ -15,10 +15,20 @@ are built once per chunk and shared by the single-rate matrix and both
 interpolation kinds.  The single-rate spectral radius is max|R(h·λᵢ)| over
 the eigenvalues λᵢ of A, by the spectral mapping theorem.  The one-matrix
 functions call the same stacked code with a single matrix.
+
+The chunks do not depend on each other, so a sweep computes them
+concurrently on a thread pool with one worker per CPU the process may run on
+(no more than there are chunks); the NumPy and LAPACK kernels that take the
+time release the GIL.  Rows are appended in grid order, and each chunk does
+the same arithmetic whichever thread runs it, so the report is bitwise the
+same for any number of CPUs.  With ``OPENBLAS_NUM_THREADS=1`` the BLAS does
+not start threads of its own on top of the pool's.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -247,25 +257,44 @@ def norm_sweep(
     grid = default_rescaled_grid() if rescaled_grid is None else np.asarray(rescaled_grid, dtype=float)
     report = AmplificationReport(system=system_name, max_abs_eigenvalue=lam)
     chunk = max(1, CHUNK_BYTES // a.nbytes)
-    for start in range(0, grid.size, chunk):
-        s = grid[start:start + chunk]
-        h = s / lam
-        stack = _AmplificationStack(h[:, None, None] * a, partition, method)
-        single = _norm_columns(stack.r)
-        single["spectral_radius"] = np.max(
-            np.abs(method.scalar_amplification(np.multiply.outer(h, eigs))), axis=-1)
-        multi = {}
-        for kind in kinds:
-            mats = stack.multirate(kind)
-            multi[kind] = _norm_columns(mats)
-            multi[kind]["spectral_radius"] = spectral_radius(mats)
-        for i, s_i in enumerate(s.tolist()):
-            for kind in kinds:
-                row = {"rescaled_h": s_i, "kind": kind}
-                row.update((col, float(v[i])) for col, v in multi[kind].items())
-                row.update((f"single_rate_{col}", float(v[i])) for col, v in single.items())
-                report.rows.append(row)
+    chunks = [grid[i:i + chunk] for i in range(0, grid.size, chunk)]
+
+    def sweep(s: np.ndarray) -> Tuple[dict, dict]:
+        return _sweep_chunk(a, eigs, s / lam, partition, kinds, method)
+
+    # Executor.map cancels the chunks still queued when one raises.
+    with ThreadPoolExecutor(max(1, min(_available_cpus(), len(chunks)))) as pool:
+        for s, (single, multi) in zip(chunks, pool.map(sweep, chunks)):
+            for i, s_i in enumerate(s.tolist()):
+                for kind in kinds:
+                    row = {"rescaled_h": s_i, "kind": kind}
+                    row.update((col, float(v[i])) for col, v in multi[kind].items())
+                    row.update((f"single_rate_{col}", float(v[i])) for col, v in single.items())
+                    report.rows.append(row)
     return report
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_chunk(a: np.ndarray, eigs: np.ndarray, h: np.ndarray, partition: ActivePartition,
+                 kinds: Sequence[str], method: RationalMatrixMethod) -> Tuple[dict, dict]:
+    """Norm columns of one chunk of step sizes ``h``: the single-rate columns,
+    and the multirate columns per interpolation kind."""
+    stack = _AmplificationStack(h[:, None, None] * a, partition, method)
+    single = _norm_columns(stack.r)
+    single["spectral_radius"] = np.max(
+        np.abs(method.scalar_amplification(np.multiply.outer(h, eigs))), axis=-1)
+    multi = {}
+    for kind in kinds:
+        mats = stack.multirate(kind)
+        multi[kind] = _norm_columns(mats)
+        multi[kind]["spectral_radius"] = spectral_radius(mats)
+    return single, multi
 
 
 def _conservative_diffusion(n: int, coeff: np.ndarray, dx: float) -> np.ndarray:

@@ -31,7 +31,13 @@ import numpy as np
 
 from .controller import ToleranceSpec
 from .dense_linalg import LuFactorization, lu_factor, lu_solve
-from .errors import DimensionMismatch, NewtonDivergence, PoleEncountered
+from .errors import (
+    DimensionMismatch,
+    NewtonDivergence,
+    NonFiniteOutput,
+    PoleEncountered,
+    SingularMatrix,
+)
 from .ode_problem import (
     ActivePartition,
     EvalCounter,
@@ -227,7 +233,11 @@ def step(
     evaluated at the step start otherwise.  With ``tolerances`` Newton also
     stops by its contraction rate, weighted by 1/(τ_r|u|+τ_a).  Raises
     :class:`NewtonDivergence` when an iteration stalls; the caller is expected
-    to retry with a fresh Jacobian or a smaller h.
+    to retry with a fresh Jacobian or a smaller h.  A failure of the
+    factorization or of the stages (:class:`NewtonDivergence`,
+    :class:`NonFiniteOutput` or :class:`SingularMatrix`) carries J as the
+    exception's ``jacobian``, so that a retry at a smaller h need not
+    evaluate it again.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -260,21 +270,25 @@ def step(
         raise DimensionMismatch(
             f"jacobian of shape {jacobian.shape} for {part.size} active components"
         )
-    lu = _factor_newton_matrix(jacobian, h, problem.bandwidth)
-    weights = None if tolerances is None else 1.0 / tolerances.scale(u)
+    try:
+        lu = _factor_newton_matrix(jacobian, h, problem.bandwidth)
+        weights = None if tolerances is None else 1.0 / tolerances.scale(u)
 
-    # Trapezoidal stage to t + γh, started from the incoming stage derivative.
-    z_gamma, it_tr = _newton_stage(f_sub, lu, t + GAMMA * h, u + D_STAGE * z_n, z_n, h, cfg,
-                                   weights, counter)
-    u_gamma = u + D_STAGE * z_n + D_STAGE * z_gamma
+        # Trapezoidal stage to t + γh, started from the incoming stage derivative.
+        z_gamma, it_tr = _newton_stage(f_sub, lu, t + GAMMA * h, u + D_STAGE * z_n, z_n, h, cfg,
+                                       weights, counter)
+        u_gamma = u + D_STAGE * z_n + D_STAGE * z_gamma
 
-    # BDF2 stage to t + h, started from the trapezoidal stage derivative.
-    base2 = u + W_STAGE * z_n + W_STAGE * z_gamma
-    z_next, it_bdf = _newton_stage(f_sub, lu, t + h, base2, z_gamma, h, cfg, weights, counter)
-    u_next = base2 + D_STAGE * z_next
+        # BDF2 stage to t + h, started from the trapezoidal stage derivative.
+        base2 = u + W_STAGE * z_n + W_STAGE * z_gamma
+        z_next, it_bdf = _newton_stage(f_sub, lu, t + h, base2, z_gamma, h, cfg, weights, counter)
+        u_next = base2 + D_STAGE * z_next
 
-    eps_raw = raw_error_estimate(z_n, z_gamma, z_next)
-    eps_mod = lu_solve(lu, eps_raw) if eps_raw.size else eps_raw.copy()
+        eps_raw = raw_error_estimate(z_n, z_gamma, z_next)
+        eps_mod = lu_solve(lu, eps_raw) if eps_raw.size else eps_raw.copy()
+    except (NewtonDivergence, NonFiniteOutput, SingularMatrix) as exc:
+        exc.jacobian = jacobian  # a caller may retry a smaller h on it
+        raise
     return StepResult(
         u_gamma=u_gamma,
         u_next=u_next,

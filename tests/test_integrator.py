@@ -179,14 +179,37 @@ def test_stale_jacobian_is_retried_fresh_without_a_rejection(monkeypatch):
 
 def test_failure_on_a_fresh_jacobian_halves_h(monkeypatch):
     # the analytic Jacobian is wrong at every state (as in
-    # test_newton_divergence_raises), so the fresh retry fails too
+    # test_newton_divergence_raises), so the fresh retry fails too; the
+    # attempt at h/2 starts from the same point and keeps that Jacobian
     p = OdeProblem(m=1, rhs=lambda t, y: 1e4 * y * y - y,
                    jacobian=lambda t, y: np.array([[-1.0]]))
     cfg = default_cfg(controller=ControllerConfig(max_rejections=2))
+    counter = EvalCounter()
     calls = logged_steps(monkeypatch)
     with pytest.raises(StepFloorReached):
-        macro_step(p, 0.0, np.array([5.0]), 1.0, cfg, jacobian=np.array([[-1.0]]))
-    assert calls == [(1.0, True), (1.0, False), (0.5, False)]
+        macro_step(p, 0.0, np.array([5.0]), 1.0, cfg, counter=counter,
+                   jacobian=np.array([[-1.0]]))
+    assert calls == [(1.0, True), (1.0, False), (0.5, True)]
+    assert counter.jacobian_evaluations == 1
+
+
+def test_no_jacobian_is_evaluated_twice_at_one_point():
+    # Newton fails on fresh Jacobians in these runs, and the retries at h/2
+    # start from the same (t, y)
+    for run in (integrate, integrate_single_rate):
+        preset = inverter_chain(m=12, t_end=8.0)
+        keys = []
+        analytic = preset.problem.jacobian
+
+        def jacobian(t, y):
+            keys.append((t, y.tobytes()))
+            return analytic(t, y)
+
+        problem = replace(preset.problem, jacobian=jacobian)
+        _, trace = run(problem, preset.t0, preset.t_end, preset.y0, preset.config)
+        assert trace.rejection_causes["newton_divergence"] > 0
+        assert len(keys) == trace.jacobian_evaluations
+        assert len(set(keys)) == len(keys)
 
 
 def test_jacobian_is_carried_only_after_fast_newton_stages():
@@ -392,8 +415,7 @@ def test_nested_active_sets(run):
 
 @settings(max_examples=40, deadline=None)
 @given(run=banded_runs(st.floats(0.0, 20.0)),
-       samples=st.lists(st.floats(0.0, 0.05, exclude_min=True, exclude_max=True,
-                                  allow_subnormal=False), max_size=4))
+       samples=st.lists(st.floats(0.0, 0.05, exclude_min=True, exclude_max=True), max_size=4))
 def test_delta_one_is_single_rate_and_lands_on_samples(run, samples):
     """δ = 1 is the adaptive single-rate method bitwise, through full steps
     only, and every sample time is landed on exactly."""
@@ -433,6 +455,17 @@ def test_trajectory_times_strictly_increasing_and_exact_landings():
     assert traj.times[-1] == 1.0
     for s in samples:
         assert np.min(np.abs(traj.times - s)) == 0.0
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_single_rate])
+def test_landing_on_the_smallest_subnormal_time(run):
+    # the step after the 5e-324 landing cannot rescale the FSAL derivative:
+    # h/h_prev overflows, so that step evaluates its own
+    p = linear_problem(np.diag([-1.0, -100.0]))
+    traj, _ = run(p, 0.0, 1.0, np.array([1.0, 1.0]), default_cfg(), t_samples=[5e-324])
+    assert traj.times[1] == 5e-324 and traj.times[-1] == 1.0
+    assert np.all(np.isfinite(traj.states))
+    assert abs(traj.states[-1, 0] - np.exp(-1.0)) <= 1e-4
 
 
 def test_state_at_reads_stored_rows_only():

@@ -1,11 +1,17 @@
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from mrtrbdf2 import stability
 from mrtrbdf2.dense_linalg import spectral_radius
-from mrtrbdf2.errors import UnknownSystem
+from mrtrbdf2.errors import SingularMatrix, UnknownSystem
 from mrtrbdf2.ode_problem import ActivePartition
 from mrtrbdf2.stability import (
     CHUNK_BYTES,
+    AmplificationReport,
     MODEL_SYSTEMS,
     StabilitySetup,
     TRBDF2_METHOD,
@@ -273,3 +279,108 @@ def test_unknown_interpolation_kind_raises():
         interpolation_matrix(a, 0.1, "cubic")
     with pytest.raises(ValueError):
         StabilitySetup(a, 0.1, part, "cubic")
+
+
+class PoolRecord(list):
+    """The thread pools a sweep opened; ``cancelled`` is set once any of
+    their futures is cancelled."""
+
+    def __init__(self):
+        super().__init__()
+        self.cancelled = threading.Event()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Record the thread pools ``norm_sweep`` opens, with their worker counts
+    and futures."""
+    record = PoolRecord()
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.workers = max_workers
+            self.futures = []
+            record.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            future.add_done_callback(lambda f: f.cancelled() and record.cancelled.set())
+            self.futures.append(future)
+            return future
+
+    monkeypatch.setattr(stability, "ThreadPoolExecutor", RecordingPool)
+    return record
+
+
+def allow_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("case", ["heat40", "random7"])
+def test_sweep_bytes_do_not_depend_on_the_cpu_count(case, monkeypatch, pools):
+    a, part = SWEEP_CASES[case]()
+    # 47 points at order 40 are three chunks, the last one partial
+    grid = np.geomspace(1e-3, 100.0, 47)
+    numeric = [c for c in AmplificationReport.COLUMNS if c != "kind"]
+    runs = []
+    for n_cpus in (1, 2):
+        allow_cpus(monkeypatch, n_cpus)
+        rows = norm_sweep(a, part, rescaled_grid=grid).rows
+        runs.append(([r["kind"] for r in rows],
+                     np.array([[r[c] for c in numeric] for r in rows]).tobytes()))
+    assert runs[0] == runs[1]
+    n_chunks = [len(pool.futures) for pool in pools]
+    assert n_chunks == ([3, 3] if case == "heat40" else [1, 1])
+    assert [pool.workers for pool in pools] == ([1, 2] if case == "heat40" else [1, 1])
+
+
+def failing_lu_factor(monkeypatch, k: int, wait_for=None):
+    """Make ``stability.lu_factor`` raise ``SingularMatrix`` on its k-th call;
+    later calls first wait for the event ``wait_for``, at most 5 s in all.
+    Returns the numbers of the calls that waited in vain."""
+    original = stability.lu_factor
+    lock = threading.Lock()
+    calls = []
+    in_vain = []
+
+    def lu_factor(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            n = len(calls)
+        if n == k:
+            raise SingularMatrix("injected")
+        if n > k and wait_for is not None and not wait_for.wait(timeout=5.0):
+            in_vain.append(n)
+            wait_for.set()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "lu_factor", lu_factor)
+    return in_vain
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_chunk_error_reaches_the_caller_as_its_type(n_cpus, monkeypatch):
+    a, part = model_system("heat40")
+    allow_cpus(monkeypatch, n_cpus)
+    failing_lu_factor(monkeypatch, k=4)
+    with pytest.raises(SingularMatrix, match="injected"):
+        norm_sweep(a, part, rescaled_grid=np.geomspace(1e-3, 100.0, 400))
+
+
+def test_a_chunk_error_cancels_the_queued_chunks(monkeypatch, pools):
+    # One worker takes the chunks in grid order; the second chunk fails, and
+    # no chunk after it gets past its first factorization until the queued
+    # chunks are cancelled, so a sweep that waited on them would hang.
+    a, part = model_system("heat40")
+    allow_cpus(monkeypatch, 1)
+    in_vain = failing_lu_factor(monkeypatch, k=5, wait_for=pools.cancelled)
+    with pytest.raises(SingularMatrix):
+        norm_sweep(a, part, rescaled_grid=np.geomspace(1e-3, 100.0, 400))
+    (pool,) = pools
+    assert len(pool.futures) == 20 and pool.workers == 1
+    assert in_vain == []
+    ran = [f for f in pool.futures if not f.cancelled()]
+    assert len(ran) <= 3  # the good chunk, the failing one and one taken before the cancel
+    assert pool.futures[0].exception() is None
+    assert isinstance(pool.futures[1].exception(), SingularMatrix)
