@@ -40,7 +40,7 @@ class ToleranceSpec:
 
     def scale(self, u: np.ndarray) -> np.ndarray:
         """Per-component tolerance scale τ_r |u| + τ_a."""
-        return self.tau_r * np.abs(np.asarray(u, dtype=float)) + self.tau_a
+        return self.tau_r * np.abs(u) + self.tau_a
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,7 @@ def normalized_errors(eps: np.ndarray, u_hat: np.ndarray, tol: ToleranceSpec) ->
 
 def accept_global(eta: np.ndarray) -> bool:
     """A step passes when every normalized error is at most one."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.size == 0:
-        return True
-    return bool(np.max(eta) <= 1.0)
+    return bool(np.maximum.reduce(eta, initial=0.0) <= 1.0)
 
 
 def select_active(eta: np.ndarray, delta: float) -> np.ndarray:
@@ -96,7 +93,7 @@ def select_active(eta: np.ndarray, delta: float) -> np.ndarray:
     give the empty set.
     """
     eta = np.asarray(eta, dtype=float)
-    return eta > delta * np.max(eta, initial=0.0)
+    return eta > delta * np.maximum.reduce(eta, initial=0.0)
 
 
 def next_step_size(
@@ -118,7 +115,7 @@ def next_step_size(
     if eps.shape != u_hat.shape:
         raise DimensionMismatch(f"error shape {eps.shape} != state shape {u_hat.shape}")
     ratios = tol.scale(u_hat) / np.maximum(eps, EPS_FLOOR)
-    factor = cfg.nu * float(np.min(ratios)) ** (1.0 / (ORDER + 1))
+    factor = cfg.nu * float(np.minimum.reduce(ratios)) ** (1.0 / (ORDER + 1))
     h_new = h_current * factor
     h_new = min(h_new, cfg.h_max, cfg.max_growth * h_current)
     return max(h_new, cfg.h_min)

@@ -169,8 +169,8 @@ def _band_lu_factor(ab, band: Tuple[int, int]) -> LuFactorization:
         raise DimensionMismatch(
             f"band storage for (kl, ku) = ({kl}, {ku}) needs shape ({kl + ku + 1}, n >= 1), got {m.shape}"
         )
-    col_scale = np.abs(m).max(axis=0)
-    if not np.isfinite(col_scale).all():  # max propagates NaN and inf
+    col_scale = np.maximum.reduce(np.abs(m), axis=0)
+    if not np.logical_and.reduce(np.isfinite(col_scale)):  # max propagates NaN and inf
         raise ValueError("matrix has non-finite entries")
     # dgbtrf wants kl extra leading rows for the fill-in of row pivoting
     work = np.zeros((2 * kl + ku + 1, m.shape[1]), order="F")
@@ -189,9 +189,15 @@ def _column_major(shape: Tuple[int, ...]) -> np.ndarray:
 def _check_pivots(diag: np.ndarray, col_scale: np.ndarray) -> None:
     """Raise :class:`SingularMatrix` unless every pivot |u_jj| is nonzero and
     at least PIVOT_RTOL times the largest entry of original column j, for the
-    pivots (..., n) of each factored matrix."""
-    ok = (diag > 0.0) & (col_scale > 0.0) & (diag >= PIVOT_RTOL * col_scale)
-    if not ok.all():
+    pivots (..., n) of each factored matrix.
+
+    A zero column keeps a zero pivot through the elimination, so |u_jj| > 0
+    also rules out a zero column.  A test of the column scale in its place
+    would pass a zero pivot in a column so small that PIVOT_RTOL times its
+    largest entry underflows to zero.
+    """
+    ok = (diag > 0.0) & (diag >= PIVOT_RTOL * col_scale)
+    if not np.logical_and.reduce(ok, axis=None):
         *stack, col = np.unravel_index(int(np.argmin(ok)), ok.shape)
         where = f" of stack index {', '.join(str(int(i)) for i in stack)}" if stack else ""
         raise SingularMatrix(f"negligible pivot in column {int(col)}{where}")

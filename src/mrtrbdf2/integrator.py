@@ -129,6 +129,7 @@ class IntegrationTrace:
     m: int
     records: List[MacroRecord] = field(default_factory=list)
     scalar_evals: int = 0
+    rhs_calls: int = 0
     jacobian_evaluations: int = 0
     newton_iterations: int = 0
     rejection_causes: Dict[str, int] = field(default_factory=dict)
@@ -165,6 +166,9 @@ class IntegrationTrace:
             "total_accepted_steps": self.accepted_macro + self.accepted_micro,
             "workload": self.workload(),
             "scalar_function_evaluations": self.scalar_evals,
+            # each rhs call computes all m components, whatever it is charged
+            "rhs_calls": self.rhs_calls,
+            "effective_scalar_evals": self.rhs_calls * self.m,
             "jacobian_evaluations": self.jacobian_evaluations,
             "newton_iterations": self.newton_iterations,
             "rejection_causes": {c: self.rejection_causes.get(c, 0) for c in REJECTION_CAUSES},
@@ -321,7 +325,7 @@ def macro_step(
         # tentative final stage derivative is stale; the next step recomputes it.
         fsal_next = None
     record = MacroRecord(
-        t_start=t, h=h, eta_max=float(np.max(eta)), rejections=rejections,
+        t_start=t, h=h, eta_max=float(np.maximum.reduce(eta)), rejections=rejections,
         newton_iterations=res.newton_iterations, active0=active0, micro=micro_records,
     )
     return MacroOutcome(u_final, record, fsal_next, h_prop, jacobian)
@@ -389,7 +393,7 @@ def _refine(
             problem, t_k, x, h_mic, span, 1.0, jacobian, cfg, counter,
             part=active, frozen=latent_context)
         records.append(MicroRecord(
-            t_start=t_k, h=h_eff, eta_max=float(np.max(eta)),
+            t_start=t_k, h=h_eff, eta_max=float(np.maximum.reduce(eta)),
             newton_iterations=mres.newton_iterations, rejections=rejections, x_start=x,
         ))
         x = mres.u_next
@@ -461,6 +465,7 @@ def integrate(
         states.append(u.copy())
 
     trace.scalar_evals = counter.scalar_evals
+    trace.rhs_calls = counter.rhs_calls
     trace.jacobian_evaluations = counter.jacobian_evaluations
     trace.newton_iterations = counter.newton_iterations
     trace.rejection_causes = dict(counter.rejections)

@@ -14,6 +14,7 @@ All of them only interpolate; offsets outside [0, h] raise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +73,9 @@ class HermiteData:
     """Step data needed by the cubic Hermite interpolant.
 
     States at the step start, the interior stage point and the step end,
-    together with the scaled stage derivatives z = h·f at those points.
+    together with the scaled stage derivatives z = h·f at those points.  The
+    polynomial coefficients of both branches are built from them on first
+    use and kept, so a window's reconstructions share one set.
     """
 
     u_n: np.ndarray
@@ -83,6 +86,24 @@ class HermiteData:
     z_next: np.ndarray
     h: float
 
+    @cached_property
+    def branches(self) -> tuple:
+        """(γh, (1−γ)h, left, right): the widths of the two branches and, for
+        each, the coefficients (c₃, c₂, a₁, a₀) of c₃β³ + c₂β² + a₁β + a₀ in
+        its local variable β ∈ [0, 1], with c₃ = a₃ − 2a₂ and c₂ = 3a₂ − a₃."""
+        g, h = GAMMA, self.h
+        a0 = self.u_n
+        a1 = g * self.z_n
+        a2 = self.u_gamma - self.u_n - g * self.z_n
+        a3 = g * (self.z_gamma - self.z_n)
+        left = (a3 - 2.0 * a2, 3.0 * a2 - a3, a1, a0)
+        a1 = (1.0 - g) * self.z_gamma
+        a0 = self.u_gamma
+        a2 = self.u_next - self.u_gamma - a1
+        a3 = (1.0 - g) * (self.z_next - self.z_gamma)
+        right = (a3 - 2.0 * a2, 3.0 * a2 - a3, a1, a0)
+        return g * h, (1.0 - g) * h, left, right
+
 
 def hermite_cubic(d: HermiteData, zeta: float) -> np.ndarray:
     """C¹ piecewise-cubic dense output at offset ζ ∈ [0, h].
@@ -92,17 +113,11 @@ def hermite_cubic(d: HermiteData, zeta: float) -> np.ndarray:
     step end, so the two branches join with a continuous first derivative.
     """
     zeta = _check_offset(zeta, d.h)
-    g, h = GAMMA, d.h
-    if zeta <= g * h:
-        a0 = d.u_n
-        a1 = g * d.z_n
-        a2 = d.u_gamma - d.u_n - g * d.z_n
-        a3 = g * (d.z_gamma - d.z_n)
-        beta = zeta / (g * h)
+    gh, wh, left, right = d.branches
+    if zeta <= gh:
+        c3, c2, a1, a0 = left
+        beta = zeta / gh
     else:
-        a1 = (1.0 - g) * d.z_gamma
-        a0 = d.u_gamma
-        a2 = d.u_next - d.u_gamma - a1
-        a3 = (1.0 - g) * (d.z_next - d.z_gamma)
-        beta = (zeta - g * h) / ((1.0 - g) * h)
-    return ((a3 - 2.0 * a2) * beta + (3.0 * a2 - a3)) * beta * beta + a1 * beta + a0
+        c3, c2, a1, a0 = right
+        beta = (zeta - gh) / wh
+    return (c3 * beta + c2) * beta * beta + a1 * beta + a0

@@ -17,8 +17,9 @@ names the latent components that an active subsystem's rows can read, so a
 caller may leave the rest of the frozen context stale.
 
 Scalar function-evaluation accounting: a subsystem call costs |active| scalar
-evaluations, so a full call costs m.  Counters are owned by a single
-integration run (see :class:`EvalCounter`), never by the problem.
+evaluations, so a full call costs m.  Every call of the problem's rhs is also
+counted, since each one computes all m components.  Counters are owned by a
+single integration run (see :class:`EvalCounter`), never by the problem.
 """
 
 from __future__ import annotations
@@ -97,19 +98,19 @@ class ActivePartition:
 
 @dataclass
 class EvalCounter:
-    """Work accumulator for one integration run: scalar function evaluations,
-    Jacobian evaluations, Newton iterations (failed ones included), step
-    attempts, rejections by cause, and stale-Jacobian retries (not rejections)."""
+    """Work accumulator for one integration run: scalar function evaluations
+    (|active| per subsystem call), calls of the problem's rhs (each computes
+    all m components), Jacobian evaluations, Newton iterations (failed ones
+    included), step attempts, rejections by cause, and stale-Jacobian retries
+    (not rejections)."""
 
     scalar_evals: int = 0
+    rhs_calls: int = 0
     step_attempts: int = 0
     jacobian_evaluations: int = 0
     newton_iterations: int = 0
     rejections: Counter[str] = field(default_factory=Counter)
     stale_jacobian_retries: int = 0
-
-    def add(self, n: int) -> None:
-        self.scalar_evals += int(n)
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,16 @@ class OdeProblem:
         object.__setattr__(self, "bandwidth", (kl, ku))
 
 
-def _call_rhs(p: OdeProblem, t: float, y: np.ndarray) -> np.ndarray:
+def _call_rhs(p: OdeProblem, t: float, y: np.ndarray, counter: EvalCounter | None,
+              charge: int) -> np.ndarray:
+    """f(t, y), checked for shape; counts one rhs call that costs ``charge``
+    scalar evaluations."""
     f = np.asarray(p.rhs(t, y), dtype=float)
     if f.shape != (p.m,):
         raise DimensionMismatch(f"rhs returned shape {f.shape}, expected ({p.m},)")
+    if counter is not None:
+        counter.scalar_evals += charge
+        counter.rhs_calls += 1
     return f
 
 
@@ -162,18 +169,16 @@ def eval_subsystem_rhs(
     right-hand side there and gathers the active rows.  The full system is
     evaluated on ``x`` itself, with ``frozen`` unused (it may be None), and
     the right-hand side's own array is returned.  Costs |active| scalar
-    evaluations on the counter.
+    evaluations and one rhs call on the counter.
     """
     if len(x) != part.size:
         raise DimensionMismatch(f"substate length {len(x)} != active size {part.size}")
     if part.is_full:
-        out = _call_rhs(p, t, x)
+        out = _call_rhs(p, t, x, counter, part.size)
     else:
         frozen[part.indices] = x
-        out = _call_rhs(p, t, frozen)[part.indices]
-    if counter is not None:
-        counter.add(part.size)
-    if not np.isfinite(out).all():
+        out = _call_rhs(p, t, frozen, counter, part.size)[part.indices]
+    if not np.logical_and.reduce(np.isfinite(out)):
         raise NonFiniteOutput(f"subsystem rhs produced non-finite values at t={t}")
     return out
 
@@ -230,17 +235,13 @@ def subsystem_jacobian(
         if p.bandwidth is not None:
             return band_storage(jac, p.bandwidth, idx)
         return jac[np.ix_(idx, idx)]
-    f0 = _call_rhs(p, t, y)
-    if counter is not None:
-        counter.add(part.size)
+    f0 = _call_rhs(p, t, y, counter, part.size)
     block = np.empty((part.size, part.size))
     for col, j in enumerate(idx):
         eps = FD_EPS * max(abs(y[j]), 1.0)
         yp = y.copy()
         yp[j] += eps
-        fp = _call_rhs(p, t, yp)
-        if counter is not None:
-            counter.add(part.size)
+        fp = _call_rhs(p, t, yp, counter, part.size)
         block[:, col] = (fp[idx] - f0[idx]) / eps
     if not np.all(np.isfinite(block)):
         raise NonFiniteOutput(f"subsystem jacobian non-finite at t={t}")

@@ -54,9 +54,13 @@ def test_run_writes_artifacts_and_schema(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     metrics = summary["metrics"]
     for key in ("workload", "accepted_macro_steps", "rejected_macro_steps",
-                "scalar_function_evaluations", "jacobian_evaluations", "newton_iterations",
+                "scalar_function_evaluations", "rhs_calls", "effective_scalar_evals",
+                "jacobian_evaluations", "newton_iterations",
                 "rejection_causes", "stale_jacobian_retries", "wall_time_s"):
         assert key in metrics
+    # each rhs call computes all m components; a subsystem call is charged fewer
+    assert metrics["effective_scalar_evals"] == metrics["rhs_calls"] * metrics["dimension"]
+    assert metrics["scalar_function_evaluations"] <= metrics["effective_scalar_evals"]
     rejected = metrics["rejected_macro_steps"] + metrics["rejected_micro_steps"]
     assert sum(metrics["rejection_causes"].values()) == rejected
     # the Jacobian is carried across steps, and each step iterates Newton

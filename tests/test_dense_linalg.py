@@ -195,6 +195,16 @@ def test_band_lu_singular_detection():
         lu_factor(a)
 
 
+def test_zero_pivot_in_a_column_too_small_to_scale_is_singular():
+    # PIVOT_RTOL times this column's largest entry underflows to zero, so the
+    # relative test alone would pass its exact zero pivot
+    a = np.array([[1.0, 1e-311], [1.0, 1e-311]])
+    with pytest.raises(SingularMatrix, match="column 1"):
+        lu_factor(a)
+    with pytest.raises(SingularMatrix, match="column 1"):
+        lu_factor(band_storage(a, (1, 1)), band=(1, 1))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dense_lu_rejects_non_finite_matrix(bad):
     for i, j in ((0, 0), (2, 1), (1, 2)):

@@ -293,6 +293,26 @@ def test_rejection_causes_sum_to_the_rejected_steps():
         assert summary["stale_jacobian_retries"] > 0
 
 
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic_jacobian", "fd_jacobian"])
+def test_summary_counts_every_rhs_call_at_full_width(analytic):
+    preset = inverter_chain(m=12, t_end=8.0)
+    calls = []
+
+    def rhs(t, y):
+        calls.append(y.size)
+        return preset.problem.rhs(t, y)
+
+    jacobian = preset.problem.jacobian if analytic else None
+    problem = replace(preset.problem, rhs=rhs, jacobian=jacobian)
+    _, trace = integrate(problem, preset.t0, preset.t_end, preset.y0, preset.config)
+    summary = trace.summary()
+    assert trace.accepted_micro > 0
+    assert summary["rhs_calls"] == len(calls)
+    assert summary["effective_scalar_evals"] == sum(calls) == 12 * len(calls)
+    # micro steps are charged their cohort's width, but compute all m rows
+    assert summary["scalar_function_evaluations"] < summary["effective_scalar_evals"]
+
+
 @pytest.mark.parametrize("make", [lambda: inverter_chain(m=12, t_end=8.0),
                                   lambda: reaction_diffusion(n_cells=16, t_end=0.3)],
                          ids=["inverter_chain", "reaction_diffusion"])

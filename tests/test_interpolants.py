@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrtrbdf2.errors import DegenerateNodes, OffsetOutOfRange
 from mrtrbdf2.interpolants import HermiteData, hermite_cubic, linear_interp, quadratic_lagrange
@@ -142,3 +144,49 @@ def test_interpolation_convergence_order(kind, order):
     e2 = max_interp_error(kind, 0.2)
     ratio = e1 / e2
     assert 0.75 * 2**order <= ratio <= 1.25 * 2**order
+
+
+def hermite_per_call(d, zeta):
+    """The cubic Hermite with each branch's coefficients built from the step
+    data at every evaluation, as the interpolant is defined."""
+    g, h = GAMMA, d.h
+    if zeta <= g * h:
+        a0 = d.u_n
+        a1 = g * d.z_n
+        a2 = d.u_gamma - d.u_n - g * d.z_n
+        a3 = g * (d.z_gamma - d.z_n)
+        beta = zeta / (g * h)
+    else:
+        a1 = (1.0 - g) * d.z_gamma
+        a0 = d.u_gamma
+        a2 = d.u_next - d.u_gamma - a1
+        a3 = (1.0 - g) * (d.z_next - d.z_gamma)
+        beta = (zeta - g * h) / ((1.0 - g) * h)
+    return ((a3 - 2.0 * a2) * beta + (3.0 * a2 - a3)) * beta * beta + a1 * beta + a0
+
+
+@st.composite
+def hermite_windows(draw):
+    """Random step data and up to six offsets on both branches, drawn from
+    [0, h] and from the knots 0, γh and h."""
+    n = draw(st.integers(1, 5))
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+    def vector():
+        return np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+    h = draw(st.floats(1e-6, 1e3))
+    d = HermiteData(u_n=vector(), u_gamma=vector(), u_next=vector(),
+                    z_n=vector(), z_gamma=vector(), z_next=vector(), h=h)
+    offset = st.one_of(st.sampled_from([0.0, GAMMA * h, h]), st.floats(0.0, h))
+    return d, draw(st.lists(offset, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=hermite_windows())
+def test_hermite_coefficients_built_once_give_the_per_call_bits(window):
+    # the coefficients are kept on the data after the first evaluation; every
+    # later one must give the bits of building them afresh
+    d, offsets = window
+    for zeta in offsets:
+        assert hermite_cubic(d, zeta).tobytes() == hermite_per_call(d, zeta).tobytes(), zeta
