@@ -23,6 +23,13 @@ that Jacobian, which the smaller step starts from as well.  An FSAL value
 that cannot be rescaled to the new h (h/h_prev overflows after a landing step
 near the smallest subnormal) is dropped, and the step evaluates its own.
 
+Macro and micro steps also land by one rule: a step accepted at the whole gap
+to its target (a sample time or t_end for a macro step, the window end for a
+micro step) sets t to the target itself, and each loop runs while t is below
+its target.  The run's :class:`IntegrationTrace` is its
+:class:`~.ode_problem.EvalCounter` as well, so all work is charged to it
+directly.
+
 A micro step reads a latent context built once per macro window.  Its halo is
 the latent components that the cohort's rows of f depend on through the
 declared Jacobian bandwidth (all of them when none is declared); only those
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,18 +129,13 @@ class MacroRecord:
         return self.t_start + self.h
 
 
-@dataclass
-class IntegrationTrace:
-    """Per-step records plus cumulative counters for one integration run."""
+@dataclass(kw_only=True)
+class IntegrationTrace(EvalCounter):
+    """Per-step records of one integration run, which is also the run's
+    counter: the driver charges its work here directly."""
 
     m: int
     records: List[MacroRecord] = field(default_factory=list)
-    scalar_evals: int = 0
-    rhs_calls: int = 0
-    jacobian_evaluations: int = 0
-    newton_iterations: int = 0
-    rejection_causes: Dict[str, int] = field(default_factory=dict)
-    stale_jacobian_retries: int = 0
 
     @property
     def accepted_macro(self) -> int:
@@ -171,7 +173,7 @@ class IntegrationTrace:
             "effective_scalar_evals": self.rhs_calls * self.m,
             "jacobian_evaluations": self.jacobian_evaluations,
             "newton_iterations": self.newton_iterations,
-            "rejection_causes": {c: self.rejection_causes.get(c, 0) for c in REJECTION_CAUSES},
+            "rejection_causes": {c: self.rejections[c] for c in REJECTION_CAUSES},
             "stale_jacobian_retries": self.stale_jacobian_retries,
         }
 
@@ -367,11 +369,18 @@ def _refine(
     )
     context = u_hat.copy()
     context_time: Optional[float] = None
+    # The stage times are absolute, so an offset from t carries the rounding
+    # of t + h_macro: at large |t| it may pass h_macro by a fraction of a
+    # spacing of t_end, far more than the interpolants' relative slack.  That
+    # much is the window end; a larger excess still raises there.
+    zeta_max = h_macro + 4.0 * float(np.spacing(abs(t_end)))
 
     def latent_context(t_target: float) -> np.ndarray:
         nonlocal context_time
         if t_target != context_time:
             zeta = t_target - t
+            if h_macro < zeta <= zeta_max:
+                zeta = h_macro
             if cfg.interpolant == "hermite":
                 context[halo] = hermite_cubic(hermite, zeta)
             else:
@@ -386,8 +395,7 @@ def _refine(
                            cfg.tolerances, cfg.controller)
     records: List[MicroRecord] = []
     t_k = t
-    time_slack = 1e-10 * h_macro
-    while t_k < t_end - time_slack:
+    while t_k < t_end:
         span = t_end - t_k
         mres, h_eff, eta, _, rejections, jacobian, h_mic = _attempt(
             problem, t_k, x, h_mic, span, 1.0, jacobian, cfg, counter,
@@ -415,20 +423,20 @@ def integrate(
     """Integrate y' = f(t, y) from t0 to t_end with the multirate driver.
 
     Macro steps are chained with FSAL hand-off and the controller's proposal.
-    The final step is truncated to land on t_end exactly; any ``t_samples``
-    are landed on exactly as well, so callers can read states at those times
-    without interpolation error.
+    The ``t_samples`` inside (t0, t_end) and t_end itself are landings, taken
+    in order: each step is min(proposal, gap to the landing), and one accepted
+    at the whole gap sets t to the landing itself, so callers read states at
+    those times without interpolation error, at any |t|.  The returned trace
+    is the run's counter: every evaluation and attempt is charged to it.
     """
     if not (math.isfinite(t0) and math.isfinite(t_end) and t0 < t_end):
         raise ValueError(f"need finite t0 < t_end, got t0={t0!r}, t_end={t_end!r}")
     y0 = np.asarray(y0, dtype=float)
-    counter = EvalCounter()
     trace = IntegrationTrace(m=problem.m)
     ctrl = cfg.controller
 
     landings = sorted({float(s) for s in t_samples if t0 < s < t_end})
     landings.append(float(t_end))
-    next_landing = 0
 
     times = [float(t0)]
     states = [y0.copy()]
@@ -438,38 +446,21 @@ def integrate(
     h_next = min(max(cfg.h0, ctrl.h_min), ctrl.h_max, t_end - t0)
     fsal: Optional[Tuple[np.ndarray, float]] = None
     jacobian: Optional[np.ndarray] = None
-    scale = max(abs(t0), abs(t_end), 1.0)
 
-    while t_end - t > 1e-12 * scale:
-        target = landings[next_landing]
-        gap = target - t
-        h_try = min(h_next, gap)
-        out = macro_step(problem, t, u, h_try, cfg, fsal=fsal, counter=counter,
-                         jacobian=jacobian)
-        accepted_h = out.record.h
-        if accepted_h == h_try and h_try == gap:
-            # Landed on the target exactly (same float arithmetic on purpose).
-            t = target
-            if next_landing < len(landings) - 1:
-                next_landing += 1
-        else:
-            t = t + accepted_h
-            while next_landing < len(landings) - 1 and t >= landings[next_landing]:
-                next_landing += 1
-        u = out.state
-        fsal = out.fsal
-        jacobian = out.jacobian
-        h_next = out.h_proposal
-        trace.records.append(out.record)
-        times.append(t)
-        states.append(u.copy())
+    for target in landings:
+        while t < target:
+            gap = target - t
+            out = macro_step(problem, t, u, min(h_next, gap), cfg, fsal=fsal, counter=trace,
+                             jacobian=jacobian)
+            t = target if out.record.h == gap else t + out.record.h
+            u = out.state
+            fsal = out.fsal
+            jacobian = out.jacobian
+            h_next = out.h_proposal
+            trace.records.append(out.record)
+            times.append(t)
+            states.append(u.copy())
 
-    trace.scalar_evals = counter.scalar_evals
-    trace.rhs_calls = counter.rhs_calls
-    trace.jacobian_evaluations = counter.jacobian_evaluations
-    trace.newton_iterations = counter.newton_iterations
-    trace.rejection_causes = dict(counter.rejections)
-    trace.stale_jacobian_retries = counter.stale_jacobian_retries
     traj = Trajectory(np.asarray(times), np.asarray(states))
     return traj, trace
 

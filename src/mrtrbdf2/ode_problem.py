@@ -68,17 +68,9 @@ class ActivePartition:
         # Shared per m: a partition is immutable and its indices read-only.
         return cls(m, np.arange(m))
 
-    @classmethod
-    def empty(cls, m: int) -> "ActivePartition":
-        return cls(m, np.empty(0, dtype=np.intp))
-
     @property
     def is_full(self) -> bool:
         return self.size == self.m
-
-    @property
-    def is_empty(self) -> bool:
-        return self.size == 0
 
     def complement(self) -> "ActivePartition":
         mask = np.ones(self.m, dtype=bool)

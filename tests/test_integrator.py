@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrtrbdf2 import integrator, trbdf2
+from mrtrbdf2 import integrator, interpolants, trbdf2
 from mrtrbdf2.benchmarks import inverter_chain, reaction_diffusion
 from mrtrbdf2.controller import ControllerConfig, ToleranceSpec
 from mrtrbdf2.errors import (
@@ -207,7 +207,7 @@ def test_no_jacobian_is_evaluated_twice_at_one_point():
 
         problem = replace(preset.problem, jacobian=jacobian)
         _, trace = run(problem, preset.t0, preset.t_end, preset.y0, preset.config)
-        assert trace.rejection_causes["newton_divergence"] > 0
+        assert trace.rejections["newton_divergence"] > 0
         assert len(keys) == trace.jacobian_evaluations
         assert len(set(keys)) == len(keys)
 
@@ -436,6 +436,10 @@ def test_nested_active_sets(run):
 @settings(max_examples=40, deadline=None)
 @given(run=banded_runs(st.floats(0.0, 20.0)),
        samples=st.lists(st.floats(0.0, 0.05, exclude_min=True, exclude_max=True), max_size=4))
+# two samples closer to t_end, and to each other, than 1e-12
+@example(run=(linear_problem(np.diag([-1.0, -800.0])), np.ones(2),
+              default_cfg(tolerances=ToleranceSpec(1e-7, 1e-7), h0=1e-3), 0.05),
+         samples=[0.04999999999999999, 0.049999999999999996])
 def test_delta_one_is_single_rate_and_lands_on_samples(run, samples):
     """δ = 1 is the adaptive single-rate method bitwise, through full steps
     only, and every sample time is landed on exactly."""
@@ -452,6 +456,47 @@ def test_delta_one_is_single_rate_and_lands_on_samples(run, samples):
     for s in samples:
         (i,) = np.flatnonzero(traj.times == s)
         assert traj.state_at(s).tobytes() == traj.states[i].tobytes()
+
+
+# At t0 = 1e6 a spacing of t is 1.2e-10, so t + h rounds by up to 5.8e-11 and
+# the sum of the steps does not reach t_end = t0 + 1 by itself.
+LARGE_T_PAIR = linear_problem(np.diag([-1.0, -200.0]))
+
+
+@pytest.mark.parametrize("drive", [integrate, integrate_single_rate])
+def test_lands_on_t_end_and_a_sample_just_before_it_at_large_t(drive):
+    t0 = 1e6
+    t_end = t0 + 1.0
+    sample = t_end - 5e-7
+    cfg = default_cfg(h0=1e-3)
+    traj, _ = drive(LARGE_T_PAIR, t0, t_end, np.ones(2), cfg, t_samples=[sample])
+    assert traj.t_final == t_end
+    assert np.count_nonzero(traj.times == sample) == 1
+    assert np.all(np.diff(traj.times) > 0.0)
+
+
+@pytest.mark.parametrize("interpolant", integrator.INTERPOLANT_KINDS)
+@pytest.mark.parametrize("t0", [1e4, 1e6])
+def test_refinement_windows_at_large_t(monkeypatch, t0, interpolant):
+    """At large |t| a micro stage time at the window end lies a rounding of
+    t + h past h from the window start; the latent reconstruction reads it as
+    the window end, and the run matches the same run started at t = 0."""
+    offsets = []
+    check_offset = interpolants._check_offset
+
+    def logged(zeta, h):
+        offsets.append((zeta, h))
+        return check_offset(zeta, h)
+
+    monkeypatch.setattr(interpolants, "_check_offset", logged)
+    cfg = default_cfg(h0=1e-3, interpolant=interpolant)
+    traj, trace = integrate(LARGE_T_PAIR, t0, t0 + 1.0, np.ones(2), cfg)
+    ref, _ = integrate(LARGE_T_PAIR, 0.0, 1.0, np.ones(2), cfg)
+    assert trace.accepted_micro > 0
+    assert traj.t_final == t0 + 1.0
+    assert all(0.0 <= zeta <= h for zeta, h in offsets)
+    assert max(zeta / h for zeta, h in offsets) == 1.0
+    assert np.max(np.abs(traj.states[-1] - ref.states[-1])) <= 1e-6
 
 
 def test_stiff_scalar_no_step_collapse():

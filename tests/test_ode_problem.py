@@ -95,7 +95,7 @@ def test_partition_basics():
     assert part.indices.tolist() == [1, 3]
     assert part.complement().indices.tolist() == [0, 2, 4]
     assert ActivePartition.full(4).is_full
-    assert ActivePartition.empty(4).is_empty
+    assert ActivePartition(4, []).size == 0
     with pytest.raises(DimensionMismatch):
         ActivePartition(3, [5])
 
@@ -139,7 +139,7 @@ def test_subsystem_full_matches_eval_rhs():
 
 def test_subsystem_empty():
     p = linear_problem(np.eye(3))
-    out = eval_subsystem_rhs(p, 0.0, np.empty(0), np.ones(3), ActivePartition.empty(3))
+    out = eval_subsystem_rhs(p, 0.0, np.empty(0), np.ones(3), ActivePartition(3, []))
     assert out.size == 0
 
 
