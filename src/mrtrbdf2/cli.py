@@ -312,15 +312,18 @@ def cmd_compare(args, argv: Sequence[str]) -> int:
                 return EXIT_INTEGRATION
             wall = time.perf_counter() - t_start
             err = float(np.max(np.abs(traj.states[-1] - ref)))
-            rows.append((tol, mode, err, trace.workload(), trace.scalar_evals,
-                         trace.accepted_macro, trace.accepted_micro,
-                         trace.accepted_macro + trace.accepted_micro, wall))
+            s = trace.summary()
+            rows.append((tol, mode, err, s["workload"], s["scalar_function_evaluations"],
+                         s["effective_scalar_evals"], s["accepted_macro_steps"],
+                         s["accepted_micro_steps"], s["total_accepted_steps"],
+                         s["rejected_macro_steps"] + s["rejected_micro_steps"], wall))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "compare.csv",
                ["tolerance", "mode", "error_vs_reference", "workload", "scalar_evals",
-                "macro_steps", "micro_steps", "total_steps", "wall_time_s"],
-               [FLOAT, TEXT, FLOAT, TEXT, TEXT, TEXT, TEXT, TEXT, FLOAT],
+                "effective_scalar_evals", "macro_steps", "micro_steps", "total_steps",
+                "rejected_steps", "wall_time_s"],
+               [FLOAT, TEXT, FLOAT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, FLOAT],
                rows)
     print(f"wrote {out_dir / 'compare.csv'} ({len(rows)} rows)")
     return EXIT_OK

@@ -18,21 +18,59 @@ The dense path, :func:`matrix_norm`, :func:`spectral_radius` and
 treat each matrix as if it were passed alone: a stacked solve takes
 right-hand sides with the same leading stack shape, and a stacked norm or
 radius returns one value per matrix.  One 2-D matrix still gives a float.
+
+The four LAPACK routines come from SciPy's compiled LAPACK module,
+``scipy.linalg._flapack``, loaded from its file without importing the
+``scipy.linalg`` package.  ``scipy.linalg.lapack`` re-exports the same
+function objects, but the package import also runs SciPy's array-API layer,
+which pulls in ``numpy.f2py`` and ``numpy.testing``: about 0.27 s of the
+0.42 s that ``import mrtrbdf2.cli`` took with it (Python 3.11, SciPy 1.17).
+The module is registered in ``sys.modules`` under its own name, so a later
+``import scipy.linalg`` shares it instead of loading a second copy.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-# The package before its lapack submodule: in the reverse order scipy runs its
-# own imports in another order, and start-up took about 60 ms longer
-# (Python 3.11, SciPy 1.17).
-import scipy.linalg  # noqa: F401
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 from .errors import DimensionMismatch, NonConvergence, SingularMatrix
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack_module(package_dirs: Sequence[str]):
+    """The module the LAPACK routines come from: ``scipy.linalg._flapack`` if
+    already loaded; else that extension from the ``linalg`` directory of the
+    first SciPy package directory in ``package_dirs`` that holds it, loaded
+    under its real name and registered in ``sys.modules``; else
+    ``scipy.linalg.lapack``, which re-exports the same routines (a SciPy
+    whose extensions live elsewhere, such as an editable build)."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    for directory in package_dirs:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+                spec = importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                sys.modules[_FLAPACK] = module
+                return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+_scipy = importlib.util.find_spec("scipy")
+_lapack = _lapack_module(_scipy.submodule_search_locations if _scipy else [])
+dgbtrf, dgbtrs, dgetrf, dgetrs = _lapack.dgbtrf, _lapack.dgbtrs, _lapack.dgetrf, _lapack.dgetrs
 
 # Pivots smaller than this fraction of the original column magnitude are
 # treated as exact zeros.

@@ -194,10 +194,12 @@ class Trajectory:
         return float(self.times[-1])
 
     def state_at(self, t: float) -> np.ndarray:
-        """The stored state at time t; raises ``ValueError`` if none is stored."""
-        scale = max(abs(self.times[0]), abs(self.times[-1]), 1.0)
+        """The stored state at time t, or at a stored time within four
+        spacings of t (landings are exact, so only the rounding of the
+        caller's own t is forgiven); raises ``ValueError`` if none is stored."""
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(float(self.times[i]) - t) <= 1e-9 * scale:
+        knot = float(self.times[i])
+        if abs(knot - t) <= 4.0 * np.spacing(abs(knot)):
             return self.states[i]
         raise ValueError(f"no state stored at t={t}; pass it in t_samples to land on it")
 

@@ -3,16 +3,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mrtrbdf2
-from mrtrbdf2 import benchmarks
+from mrtrbdf2 import benchmarks, dense_linalg
 from mrtrbdf2.cli import PRESETS, _build_preset, build_parser, main
+from mrtrbdf2.controller import ToleranceSpec
 from mrtrbdf2.dense_linalg import matrix_norm, spectral_radius
-from mrtrbdf2.integrator import integrate
+from mrtrbdf2.integrator import integrate, integrate_single_rate
 from mrtrbdf2.stability import AmplificationReport, single_rate_amplification
 
 
@@ -226,8 +228,8 @@ def test_stability_deterministic(tmp_path):
 
 def test_compare_emits_rows(tmp_path):
     out = tmp_path / "cmp"
-    rc = main(["compare", "--preset", "reaction_diffusion", "--cells", "24",
-               "--t-end", "0.3", "--tols", "1e-3,1e-4", "--out-dir", str(out)])
+    flags = ["--preset", "reaction_diffusion", "--cells", "24", "--t-end", "0.3"]
+    rc = main(["compare", *flags, "--tols", "1e-3,1e-4", "--out-dir", str(out)])
     assert rc == 0
     rows = read_csv(out / "compare.csv")
     assert len(rows) == 4  # two tolerances x two modes
@@ -236,6 +238,18 @@ def test_compare_emits_rows(tmp_path):
         assert float(r["workload"]) > 0
         assert float(r["error_vs_reference"]) >= 0.0
     assert_crlf_and_17_digit_floats(out / "compare.csv")
+    # The counts are those of the same run's summary.json.
+    preset = _build_preset(build_parser().parse_args(["run", *flags]))
+    base = preset.config.tolerances
+    cfg = replace(preset.config, tolerances=ToleranceSpec(base.tau_r * (1e-4 / base.tau_a), 1e-4))
+    for mode, driver in (("single", integrate_single_rate), ("multi", integrate)):
+        _, trace = driver(preset.problem, preset.t0, preset.t_end, preset.y0, cfg)
+        s = trace.summary()
+        (row,) = [r for r in rows if r["mode"] == mode and float(r["tolerance"]) == 1e-4]
+        assert int(row["scalar_evals"]) == s["scalar_function_evaluations"]
+        assert int(row["effective_scalar_evals"]) == s["rhs_calls"] * preset.problem.m
+        assert int(row["total_steps"]) == s["total_accepted_steps"]
+        assert int(row["rejected_steps"]) == s["rejected_macro_steps"] + s["rejected_micro_steps"] > 0
 
 
 def test_compare_empty_tolerances_exits_2():
@@ -371,16 +385,84 @@ def test_run_without_preset_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_integrate_and_sparse_unloaded():
-    # Only reference runs need them, and importing them would add to the
-    # start-up time of every command.
-    code = ("import sys, mrtrbdf2.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules))")
+def _python(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports this package, and
+    return the JSON object its last output line holds."""
     src = str(Path(mrtrbdf2.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_and_commands_leave_scipy_linalg_integrate_and_sparse_unloaded(tmp_path):
+    # Only reference runs need scipy.integrate and scipy.sparse, and LAPACK
+    # comes from scipy.linalg._flapack without the scipy.linalg package:
+    # importing any of the three adds to the start-up time of every command.
+    code = f"""
+import json, sys
+import mrtrbdf2.cli
+heavy = ("scipy.linalg", "scipy.integrate", "scipy.sparse")
+loaded = {{"import": [m for m in heavy if m in sys.modules]}}
+rc = mrtrbdf2.cli.main(["run", "--preset", "inverter_chain", "--m", "8", "--t-end", "0.5",
+                        "--out-dir", {str(tmp_path / "run")!r}])
+loaded["run"] = [m for m in heavy if m in sys.modules]
+rc += mrtrbdf2.cli.main(["stability", "--system", "sys1", "--points", "4",
+                         "--out-dir", {str(tmp_path / "stability")!r}])
+loaded["stability"] = [m for m in heavy if m in sys.modules]
+print(json.dumps({{"rc": rc, **loaded}}))
+"""
+    assert _python(code) == {"rc": 0, "import": [], "run": [], "stability": []}
+
+
+LAPACK_ROUTINES = ("dgetrf", "dgetrs", "dgbtrf", "dgbtrs")
+SHARED_LAPACK = f"""
+import scipy.linalg.lapack
+from mrtrbdf2 import dense_linalg
+shared = all(getattr(dense_linalg, name) is getattr(scipy.linalg.lapack, name)
+             for name in {LAPACK_ROUTINES!r})
+"""
+
+
+def test_lapack_routines_are_scipys_when_scipy_linalg_is_imported_first():
+    code = "import json, sys, scipy.linalg\n" + SHARED_LAPACK + "print(json.dumps(shared))\n"
+    assert _python(code) is True
+
+
+def test_lapack_routines_are_scipys_when_mrtrbdf2_is_imported_first():
+    """The extension module registered at import is the one SciPy then uses:
+    a Radau reference run and a SciPy dense solve work on it."""
+    code = """
+import json, sys
+import numpy as np
+from mrtrbdf2 import benchmarks, dense_linalg, integrate_single_rate
+flapack = sys.modules["scipy.linalg._flapack"]
+before = "scipy.linalg" in sys.modules
+preset = benchmarks.inverter_chain(m=8, t_end=0.5)
+ref = preset.reference_states([0.5])[0.5]
+traj, _ = integrate_single_rate(preset.problem, preset.t0, preset.t_end, preset.y0, preset.config)
+""" + SHARED_LAPACK + """
+a = np.array([[4.0, 1.0], [2.0, 3.0]])
+print(json.dumps({
+    "scipy.linalg before": before,
+    "shared": shared,
+    "one module": scipy.linalg.lapack._flapack is flapack,
+    "radau agrees": bool(np.max(np.abs(traj.states[-1] - ref)) < 1e-2),
+    "solve": bool(np.allclose(scipy.linalg.solve(a, [5.0, 5.0]), 1.0, rtol=0.0, atol=1e-15)),
+}))
+"""
+    assert _python(code) == {"scipy.linalg before": False, "shared": True, "one module": True,
+                             "radau agrees": True, "solve": True}
+
+
+def test_lapack_module_falls_back_to_scipy_linalg_lapack_without_the_file(monkeypatch, tmp_path):
+    import scipy.linalg.lapack
+
+    monkeypatch.delitem(sys.modules, dense_linalg._FLAPACK)
+    (tmp_path / "linalg").mkdir()
+    assert dense_linalg._lapack_module([str(tmp_path)]) is scipy.linalg.lapack
+    assert dense_linalg._FLAPACK not in sys.modules
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -475,6 +475,19 @@ def test_lands_on_t_end_and_a_sample_just_before_it_at_large_t(drive):
     assert np.all(np.diff(traj.times) > 0.0)
 
 
+@pytest.mark.parametrize("drive", [integrate, integrate_single_rate])
+def test_state_at_reads_only_the_knot_itself_at_large_t(drive):
+    """At t0 = 1e6 a time 1e-4 past a knot, short of the next one, is not
+    stored, while a time a spacing off still reads the knot's row."""
+    t0 = 1e6
+    traj, _ = drive(LARGE_T_PAIR, t0, t0 + 1.0, np.ones(2), default_cfg())
+    knot = traj.times[5]
+    assert knot + 1e-4 < traj.times[6]
+    assert traj.state_at(np.nextafter(knot, np.inf)).tobytes() == traj.states[5].tobytes()
+    with pytest.raises(ValueError, match="t_samples"):
+        traj.state_at(knot + 1e-4)
+
+
 @pytest.mark.parametrize("interpolant", integrator.INTERPOLANT_KINDS)
 @pytest.mark.parametrize("t0", [1e4, 1e6])
 def test_refinement_windows_at_large_t(monkeypatch, t0, interpolant):
