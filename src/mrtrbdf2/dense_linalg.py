@@ -103,26 +103,24 @@ def _as_square(a, finite: bool = True) -> np.ndarray:
     return m
 
 
-def band_storage(a, band: Tuple[int, int], idx: Optional[Sequence[int]] = None) -> np.ndarray:
-    """LAPACK band storage of the block of ``a`` over the sorted index subset
-    ``idx`` (all rows and columns by default).
+def band_storage(a, band: Tuple[int, int]) -> np.ndarray:
+    """LAPACK band storage of the square matrix ``a``.
 
-    Row ``ku + i − j`` of column ``j`` holds block[i, j] for −ku ≤ i − j ≤ kl;
-    storage entries that fall outside the block are zero.  Only the
-    (kl+ku+1)·|idx| entries of ``a`` that the band needs are read.  Entries of
+    Row ``ku + i − j`` of column ``j`` holds a[i, j] for −ku ≤ i − j ≤ kl;
+    storage entries that fall outside the matrix are zero.  Only the
+    (kl+ku+1)·n entries of ``a`` that the band needs are read.  Entries of
     ``a`` outside the band are dropped, so ``band`` must cover its sparsity.
-    The block of a banded matrix over a sorted subset has the same bandwidth.
+    :func:`block` takes the block over an index subset from this storage.
     """
     kl, ku = band
     a = np.asarray(a, dtype=float)
-    idx = np.arange(a.shape[1]) if idx is None else np.asarray(idx, dtype=np.intp)
-    n = idx.size
+    n = a.shape[1]
     ab = np.zeros((kl + ku + 1, n))
     for r in range(kl + ku + 1):
         k = r - ku  # row offset i − j of the diagonal stored in row r
         lo, hi = max(0, -k), min(n, n - k)
         if lo < hi:
-            ab[r, lo:hi] = a[idx[lo + k:hi + k], idx[lo:hi]]
+            ab[r, lo:hi] = np.diagonal(a, -k)
     return ab
 
 

@@ -13,15 +13,17 @@ interpolant.  With δ = 1 nothing is flagged and the driver is exactly the
 adaptive single-rate method, arithmetic path included.
 
 Macro and micro steps share one attempt loop, :func:`_attempt`: a micro step
-is a step on the cohort with δ = 1, so it meets the unscaled tolerance.  The
-Jacobian is carried from macro step to macro step, into a refinement window
-as the cohort's block, and across its micro steps; it is dropped after a slow
-Newton stage (:attr:`~.trbdf2.StepResult.jacobian_reusable`).  A Newton
-failure on a carried Jacobian is retried once at the same h on a fresh one,
-which is not a rejection; a failure on a fresh Jacobian halves h and keeps
-that Jacobian, which the smaller step starts from as well.  An FSAL value
-that cannot be rescaled to the new h (h/h_prev overflows after a landing step
-near the smallest subnormal) is dropped, and the step evaluates its own.
+is a step on the cohort with δ = 1, so it meets the unscaled tolerance.  It
+owns the Newton matrix I − d·h·J: it evaluates J when it holds none, and
+factors the matrix for :func:`~.trbdf2.step`, which only solves on it.  J is
+carried from macro step to macro step, into a refinement window as the
+cohort's block, and across its micro steps; a slow Newton stage drops it
+(:data:`REUSE_MAX_ITERATIONS`).  A failure on a carried Jacobian is retried
+once at the same h on a fresh one, which is not a rejection; a failure on a
+fresh one halves h and keeps it.  A J not finite at the step start ends the
+run, as no smaller h changes it.  An FSAL value that cannot be rescaled to the
+new h (h/h_prev overflows after a landing step near the smallest subnormal) is
+dropped, and the step evaluates its own.
 
 Macro and micro steps also land by one rule: a step accepted at the whole gap
 to its target (a sample time or t_end for a macro step, the window end for a
@@ -76,6 +78,9 @@ _CAUSES = {NewtonDivergence: "newton_divergence", NonFiniteOutput: "non_finite_o
            SingularMatrix: "singular_matrix"}
 _RETRYABLE = tuple(_CAUSES)
 REJECTION_CAUSES = ("error_test", *_CAUSES.values())
+# A Jacobian is carried to the next step only if every stage of the step
+# that used it converged within this many Newton iterations.
+REUSE_MAX_ITERATIONS = 2
 
 
 @dataclass
@@ -212,7 +217,7 @@ class MacroOutcome:
     record: MacroRecord
     fsal: Optional[Tuple[np.ndarray, float]]
     h_proposal: float
-    jacobian: Optional[np.ndarray]
+    jacobian: Optional[np.ndarray]  # to carry to the next macro step
 
 
 def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float, delta: float,
@@ -225,16 +230,18 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
     It passes when every component outside the refinement set
     {η > δ·max η} ∩ {η > 1} meets its tolerance; δ = 1 flags nothing.
     ``fsal`` is a macro step's (z, h_prev) hand-off, ``part``/``frozen`` a
-    micro step's cohort and latent context.  The Jacobian evaluated at (t, x)
-    serves all later attempts, also after a failure on it, which halves h
-    with no retry.
+    micro step's cohort and latent context.  J is the carried ``jacobian``
+    until a failure or a slow stage drops it; then J at (t, x) is evaluated
+    once and serves all later attempts, also after a failure on it, which
+    halves h with no retry.  Each attempt factors I − d·h·J for the step.
     Every attempt is charged to the run's budget ``cfg.max_steps`` on
     ``counter``, and rejections are counted there by cause.  Returns (step, h,
-    η, refinement mask or None when δ = 1, rejections, Jacobian to carry or
-    None, proposal from δ·ε, or None for a micro step that lands on ``span``).
+    η, refinement mask or None when δ = 1, rejections, the step's J, that J
+    if it is carried on or else None, proposal from δ·ε, or None for a micro
+    step that lands on ``span``).
     """
     ctrl, tol = cfg.controller, cfg.tolerances
-    exact: Optional[np.ndarray] = None  # the Jacobian at (t, x), once evaluated
+    fresh = False  # whether ``jacobian`` was evaluated at (t, x)
     rejections = 0
     while True:
         if counter.step_attempts >= cfg.max_steps:
@@ -246,26 +253,23 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
         if fsal is not None:
             z_prev, h_prev = fsal
             ratio = h / h_prev
-            if h_prev == h:
-                z_in = z_prev
-            elif math.isfinite(ratio):  # after a landing step near 5e-324 it overflows
+            if math.isfinite(ratio):  # after a landing step near 5e-324 it overflows
                 z_in = z_prev * ratio
-        jac = jacobian if exact is None else exact
+        if jacobian is None:  # a non-finite J at (t, x) raises here, whatever h
+            jacobian = trbdf2.jacobian_at(problem, t, x, part, frozen, counter)
+            fresh = True
         try:
+            lu = trbdf2.newton_matrix(jacobian, h, problem.bandwidth)
             res = trbdf2.step(problem, t, x, h, part=part, frozen=frozen, z_in=z_in,
-                              cfg=cfg.newton, counter=counter, jacobian=jac, tolerances=tol)
+                              cfg=cfg.newton, counter=counter, lu=lu, tolerances=tol)
         except _RETRYABLE as exc:
-            jacobian = None
-            if exact is None and jac is not None:
+            if not fresh:
+                jacobian = None
                 counter.stale_jacobian_retries += 1
                 continue
-            if jac is None:  # the Jacobian step evaluated, if it got that far
-                exact = getattr(exc, "jacobian", None)
             cause = _CAUSES[type(exc)]
         else:
-            if jac is None:
-                exact = res.jacobian
-            jacobian = res.jacobian if res.jacobian_reusable else None
+            carry = jacobian if max(res.newton_iterations) <= REUSE_MAX_ITERATIONS else None
             eta = normalized_errors(res.eps_mod, res.u_next, tol)
             refine = None
             if delta < 1.0:  # sub-tolerance members of the cohort have nothing to repair
@@ -275,7 +279,9 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
                 if part is None or h < span:
                     eps = res.eps_mod if refine is None else delta * res.eps_mod
                     h_next = next_step_size(h, eps, res.u_next, tol, ctrl)
-                return res, h, eta, refine, rejections, jacobian, h_next
+                return res, h, eta, refine, rejections, jacobian, carry, h_next
+            if not fresh:
+                jacobian = carry
             cause = "error_test"
         rejections += 1
         counter.rejections[cause] += 1
@@ -316,7 +322,7 @@ def macro_step(
     # A caller-truncated step (landing on a sample time) may sit below h_min;
     # the floor only applies to rejection retries.
     h = min(h, cfg.controller.h_max)
-    res, h, eta, refine, rejections, jacobian, h_prop = _attempt(
+    res, h, eta, refine, rejections, jacobian, carry, h_prop = _attempt(
         problem, t, u, h, h, cfg.controller.delta, jacobian, cfg, counter, fsal=fsal)
     active0 = np.empty(0, dtype=np.intp) if refine is None else np.flatnonzero(refine)
 
@@ -324,7 +330,7 @@ def macro_step(
     u_final, fsal_next = res.u_next, (res.z_next, h)
     if active0.size:
         cohort = ActivePartition(problem.m, active0)
-        micro_records, u_final = _refine(problem, t, u, h, res, cohort, cfg, counter)
+        micro_records, u_final = _refine(problem, t, u, h, res, jacobian, cohort, cfg, counter)
         # The refined state differs from the tentative endpoint, so the
         # tentative final stage derivative is stale; the next step recomputes it.
         fsal_next = None
@@ -332,7 +338,7 @@ def macro_step(
         t_start=t, h=h, eta_max=float(np.maximum.reduce(eta)), rejections=rejections,
         newton_iterations=res.newton_iterations, active0=active0, micro=micro_records,
     )
-    return MacroOutcome(u_final, record, fsal_next, h_prop, jacobian)
+    return MacroOutcome(u_final, record, fsal_next, h_prop, carry)
 
 
 def _refine(
@@ -341,6 +347,7 @@ def _refine(
     u: np.ndarray,
     h_macro: float,
     res: trbdf2.StepResult,
+    jacobian: np.ndarray,
     active: ActivePartition,
     cfg: MultirateConfig,
     counter: EvalCounter,
@@ -354,8 +361,8 @@ def _refine(
     so the interpolant data is sliced to the halo once per window and the
     context buffer is refreshed on the halo once per distinct stage time.
     Each micro step is :func:`_attempt` on the cohort with δ = 1, landing on
-    the window end.  The window starts on the cohort's block of the tentative
-    step's Jacobian and carries it across the micro steps.
+    the window end.  The window starts on the cohort's block of ``jacobian``,
+    the one the tentative step used, and carries it across the micro steps.
     """
     u_hat = res.u_next
     t_end = t + h_macro
@@ -391,7 +398,7 @@ def _refine(
         return context
 
     x = u[active.indices]
-    jacobian: Optional[np.ndarray] = block(res.jacobian, active.indices, problem.bandwidth)
+    jacobian = block(jacobian, active.indices, problem.bandwidth)
     # The first micro proposal comes from the tentative macro error.
     h_mic = next_step_size(h_macro, res.eps_mod[active.indices], u_hat[active.indices],
                            cfg.tolerances, cfg.controller)
@@ -399,7 +406,7 @@ def _refine(
     t_k = t
     while t_k < t_end:
         span = t_end - t_k
-        mres, h_eff, eta, _, rejections, jacobian, h_mic = _attempt(
+        mres, h_eff, eta, _, rejections, _, jacobian, h_mic = _attempt(
             problem, t_k, x, h_mic, span, 1.0, jacobian, cfg, counter,
             part=active, frozen=latent_context)
         records.append(MicroRecord(

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dense_linalg import band_storage
+from .dense_linalg import band_storage, block
 from .errors import DimensionMismatch, NonFiniteOutput
 
 # Forward finite-difference increment scale: sqrt of unit roundoff.
@@ -207,10 +207,11 @@ def subsystem_jacobian(
 
     The latent components are held fixed, so this equals the Jacobian of the
     frozen subsystem.  With an analytic Jacobian the block is sliced out of
-    the checked m×m matrix; with forward differences only the active columns
-    are formed, each with the increment sqrt(eps)·max(|y_j|, 1) so that
-    components at or near zero still get a sensible perturbation.  When the
-    problem declares a bandwidth the block comes in band storage
+    the checked m×m matrix, or out of its band storage
+    (:func:`~.dense_linalg.block`); with forward differences only the active
+    columns are formed, each with the increment sqrt(eps)·max(|y_j|, 1) so
+    that components at or near zero still get a sensible perturbation.  When
+    the problem declares a bandwidth the block comes in band storage
     (:func:`~.dense_linalg.band_storage`) with the same (kl, ku).  Each call
     counts one Jacobian evaluation on the counter.
     """
@@ -224,19 +225,20 @@ def subsystem_jacobian(
             raise DimensionMismatch(f"jacobian has shape {jac.shape}, expected ({p.m}, {p.m})")
         if not np.all(np.isfinite(jac)):
             raise NonFiniteOutput(f"jacobian produced non-finite values at t={t}")
-        if p.bandwidth is not None:
-            return band_storage(jac, p.bandwidth, idx)
-        return jac[np.ix_(idx, idx)]
+        if p.bandwidth is None:
+            return block(jac, idx)
+        jac = band_storage(jac, p.bandwidth)
+        return jac if part.is_full else block(jac, idx, p.bandwidth)
     f0 = _call_rhs(p, t, y, counter, part.size)
-    block = np.empty((part.size, part.size))
+    fd = np.empty((part.size, part.size))
     for col, j in enumerate(idx):
         eps = FD_EPS * max(abs(y[j]), 1.0)
         yp = y.copy()
         yp[j] += eps
         fp = _call_rhs(p, t, yp, counter, part.size)
-        block[:, col] = (fp[idx] - f0[idx]) / eps
-    if not np.all(np.isfinite(block)):
+        fd[:, col] = (fp[idx] - f0[idx]) / eps
+    if not np.all(np.isfinite(fd)):
         raise NonFiniteOutput(f"subsystem jacobian non-finite at t={t}")
     if p.bandwidth is not None:
-        return band_storage(block, p.bandwidth)
-    return block
+        return band_storage(fd, p.bandwidth)
+    return fd

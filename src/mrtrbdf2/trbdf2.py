@@ -9,12 +9,14 @@ weight row provides a raw local error estimate, which is passed through
 (I − d·h·J)⁻¹, reusing the stages' factorization, to stay bounded for stiff
 components.
 
-J need not be taken at the step start: a caller may pass the Jacobian of an
-earlier step, which :func:`step` returns for that purpose, and the matrix is
-then refactored with the current h, as in Hosea & Shampine's ode23tb.  Given
-the caller's tolerances, Newton stops as soon as its contraction rate
-predicts a stage error well below them (Hairer & Wanner, *Solving ODEs II*,
-§IV.8); see :data:`NEWTON_KAPPA` and :data:`REUSE_MAX_ITERATIONS`.
+:func:`step` solves its stages on a factorization of that matrix that the
+caller passes in.  The caller builds it with :func:`jacobian_at` and
+:func:`newton_matrix`, and so decides which J a step uses: the integrator
+carries J across steps and refactors it with the current h, as in Hosea &
+Shampine's ode23tb.  Called alone, :func:`step` evaluates J at the step start
+and factors it itself.  Given the caller's tolerances, Newton stops as soon as
+its contraction rate predicts a stage error well below them (Hairer & Wanner,
+*Solving ODEs II*, §IV.8); see :data:`NEWTON_KAPPA`.
 
 A step is taken on an active subsystem whose latent components are read from
 a callable of the stage time (see :mod:`.ode_problem`); the full system is
@@ -31,13 +33,7 @@ import numpy as np
 
 from .controller import ToleranceSpec
 from .dense_linalg import LuFactorization, lu_factor, lu_solve
-from .errors import (
-    DimensionMismatch,
-    NewtonDivergence,
-    NonFiniteOutput,
-    PoleEncountered,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, NewtonDivergence, PoleEncountered
 from .ode_problem import (
     ActivePartition,
     EvalCounter,
@@ -58,9 +54,6 @@ W_STAGE = math.sqrt(2.0) / 4.0
 # chain of the tests, at h = 0.05 with J scaled ×3 and ×4, the BDF2 stage
 # ended 1.14κ and 1.13κ away (within κ at h ≤ 0.02).
 NEWTON_KAPPA = 0.01
-# A Jacobian is carried to the next step only if every stage of the step
-# that used it converged within this many Newton iterations.
-REUSE_MAX_ITERATIONS = 2
 
 # Main weights b and embedded third-order weights b* over (z_n, z_γ, z_{n+1}).
 WEIGHTS = (W_STAGE, W_STAGE, D_STAGE)
@@ -75,8 +68,7 @@ class NewtonConfig:
     A stage stops when the max norm of its z-increment is at most
     ``tolerance``, or earlier by the contraction-rate test on the caller's
     tolerances (:data:`NEWTON_KAPPA`).  Both stages iterate on one
-    factorization of I − d·h·J, with J evaluated at the step start or
-    carried from an earlier step.
+    factorization of I − d·h·J, which the caller of :func:`step` supplies.
     """
 
     tolerance: float = 1e-8
@@ -96,9 +88,7 @@ class StepResult:
     States and stage derivatives live on the stepped (active) components;
     z values are scaled by the step size (z = h·f).  ``eps_mod`` is the
     modified error estimate (I − d·h·J)⁻¹ ε_raw; the raw estimate ε_raw is
-    ``raw_error_estimate(z_n, z_gamma, z_next)``.  ``jacobian`` is the J of
-    the iteration matrix, in the storage :func:`step` accepts, so that a
-    caller can carry it to the next step.
+    ``raw_error_estimate(z_n, z_gamma, z_next)``.
     """
 
     u_gamma: np.ndarray
@@ -108,12 +98,6 @@ class StepResult:
     z_next: np.ndarray
     eps_mod: np.ndarray
     newton_iterations: Tuple[int, int]
-    jacobian: np.ndarray
-
-    @property
-    def jacobian_reusable(self) -> bool:
-        """Whether every stage converged fast enough to carry J onward."""
-        return max(self.newton_iterations) <= REUSE_MAX_ITERATIONS
 
 
 def stability_function(z: complex) -> complex:
@@ -138,10 +122,24 @@ def raw_error_estimate(z_n: np.ndarray, z_gamma: np.ndarray, z_next: np.ndarray)
     return e_n * z_n + e_gamma * z_gamma + e_next * z_next
 
 
-def _factor_newton_matrix(
-    jac: np.ndarray, h: float, band: Optional[Tuple[int, int]]
-) -> LuFactorization:
-    """Factor I − d·h·J; ``jac`` is in band storage when ``band`` is given."""
+def jacobian_at(problem: OdeProblem, t: float, u: np.ndarray, part: Optional[ActivePartition],
+                frozen: Optional[Callable[[float], np.ndarray]],
+                counter: Optional[EvalCounter]) -> np.ndarray:
+    """J of the (sub)system at (t, u), with ``part`` and ``frozen`` as in
+    :func:`step`, in the storage :func:`newton_matrix` takes (band storage
+    when the problem declares a bandwidth)."""
+    if part is None:
+        part = ActivePartition.full(problem.m)
+    y = u
+    if frozen is not None and not part.is_full:
+        y = frozen(t)
+        y[part.indices] = u
+    return subsystem_jacobian(problem, t, y, part, counter)
+
+
+def newton_matrix(jac: np.ndarray, h: float, band: Optional[Tuple[int, int]]) -> LuFactorization:
+    """Factor I − d·h·J, the matrix both stages of a step of size h iterate
+    on; ``jac`` is in band storage when ``band`` is given."""
     if band is None:
         return lu_factor(np.eye(jac.shape[0]) - (D_STAGE * h) * jac)
     a = (-D_STAGE * h) * jac
@@ -219,7 +217,7 @@ def step(
     z_in: Optional[np.ndarray] = None,
     cfg: Optional[NewtonConfig] = None,
     counter: Optional[EvalCounter] = None,
-    jacobian: Optional[np.ndarray] = None,
+    lu: Optional[LuFactorization] = None,
     tolerances: Optional[ToleranceSpec] = None,
 ) -> StepResult:
     """Advance the (sub)system one TR-BDF2 step of size h from (t, u).
@@ -235,18 +233,14 @@ def step(
     h·f(t, u) (the FSAL hand-off from a previous step); when absent it is
     computed.
 
-    Both implicit stages share one LU factorization of (I − d·h·J), factored
-    in band storage when the problem declares a Jacobian bandwidth.  J is
-    ``jacobian`` when given (the subsystem's block, in band storage when a
-    bandwidth is declared, as :attr:`StepResult.jacobian` returns it) and is
-    evaluated at the step start otherwise.  With ``tolerances`` Newton also
-    stops by its contraction rate, weighted by 1/(τ_r|u|+τ_a).  Raises
-    :class:`NewtonDivergence` when an iteration stalls; the caller is expected
-    to retry with a fresh Jacobian or a smaller h.  A failure of the
-    factorization or of the stages (:class:`NewtonDivergence`,
-    :class:`NonFiniteOutput` or :class:`SingularMatrix`) carries J as the
-    exception's ``jacobian``, so that a retry at a smaller h need not
-    evaluate it again.
+    Both implicit stages and the error estimate share ``lu``, the
+    factorization of (I − d·h·J) for this h that :func:`newton_matrix`
+    builds.  The step never evaluates J when ``lu`` is given; without it, J
+    is evaluated at the step start (:func:`jacobian_at`) and factored here.
+    With ``tolerances`` Newton also stops by its contraction rate, weighted
+    by 1/(τ_r|u|+τ_a).  Raises :class:`NewtonDivergence` when an iteration
+    stalls, or :class:`NonFiniteOutput` or :class:`SingularMatrix`; the
+    caller is expected to retry with a fresh Jacobian or a smaller h.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -273,36 +267,25 @@ def step(
     if z_n.shape != u.shape:
         raise DimensionMismatch("z_in has the wrong shape")
 
-    if jacobian is None:
-        y = u
-        if frozen is not None:
-            y = frozen(t)
-            y[part.indices] = u
-        jacobian = subsystem_jacobian(problem, t, y, part, counter)
-    elif jacobian.shape[-1] != part.size:
-        raise DimensionMismatch(
-            f"jacobian of shape {jacobian.shape} for {part.size} active components"
-        )
-    try:
-        lu = _factor_newton_matrix(jacobian, h, problem.bandwidth)
-        weights = None if tolerances is None else 1.0 / tolerances.scale(u)
+    if lu is None:
+        lu = newton_matrix(jacobian_at(problem, t, u, part, frozen, counter), h,
+                           problem.bandwidth)
+    elif lu.n != part.size:
+        raise DimensionMismatch(f"factorization of order {lu.n} for {part.size} active components")
+    weights = None if tolerances is None else 1.0 / tolerances.scale(u)
 
-        # Trapezoidal stage to t + γh, started from the incoming stage derivative.
-        base1 = u + D_STAGE * z_n
-        z_gamma, it_tr = _newton_stage(f_sub, lu, t + GAMMA * h, base1, z_n, h, cfg, weights,
-                                       counter)
-        u_gamma = base1 + D_STAGE * z_gamma
+    # Trapezoidal stage to t + γh, started from the incoming stage derivative.
+    base1 = u + D_STAGE * z_n
+    z_gamma, it_tr = _newton_stage(f_sub, lu, t + GAMMA * h, base1, z_n, h, cfg, weights, counter)
+    u_gamma = base1 + D_STAGE * z_gamma
 
-        # BDF2 stage to t + h, started from the trapezoidal stage derivative.
-        base2 = u + W_STAGE * z_n + W_STAGE * z_gamma
-        z_next, it_bdf = _newton_stage(f_sub, lu, t + h, base2, z_gamma, h, cfg, weights, counter)
-        u_next = base2 + D_STAGE * z_next
+    # BDF2 stage to t + h, started from the trapezoidal stage derivative.
+    base2 = u + W_STAGE * z_n + W_STAGE * z_gamma
+    z_next, it_bdf = _newton_stage(f_sub, lu, t + h, base2, z_gamma, h, cfg, weights, counter)
+    u_next = base2 + D_STAGE * z_next
 
-        eps_raw = raw_error_estimate(z_n, z_gamma, z_next)
-        eps_mod = lu_solve(lu, eps_raw) if eps_raw.size else eps_raw.copy()
-    except (NewtonDivergence, NonFiniteOutput, SingularMatrix) as exc:
-        exc.jacobian = jacobian  # a caller may retry a smaller h on it
-        raise
+    eps_raw = raw_error_estimate(z_n, z_gamma, z_next)
+    eps_mod = lu_solve(lu, eps_raw) if eps_raw.size else eps_raw.copy()
     return StepResult(
         u_gamma=u_gamma,
         u_next=u_next,
@@ -311,5 +294,4 @@ def step(
         z_next=z_next,
         eps_mod=eps_mod,
         newton_iterations=(it_tr, it_bdf),
-        jacobian=jacobian,
     )

@@ -147,17 +147,26 @@ def test_all_active_refinement_matches_micro_grid_replay():
 
 
 def logged_steps(monkeypatch, fail_at=(), error=NewtonDivergence):
-    """Record (h, whether a Jacobian was carried in) for every step call; the
-    calls numbered in ``fail_at`` (from 1) raise ``error`` instead."""
+    """Record (h, whether a Jacobian was carried in) for every step call, where
+    carried means that no Jacobian was evaluated since the previous step call;
+    the calls numbered in ``fail_at`` (from 1) raise ``error`` instead."""
     calls = []
-    original = trbdf2.step
+    evaluated = []
+    original_step, original_jacobian_at = trbdf2.step, trbdf2.jacobian_at
+
+    def jacobian_at(*args, **kwargs):
+        evaluated.append(args[1])
+        return original_jacobian_at(*args, **kwargs)
 
     def logged(*args, **kwargs):
-        calls.append((args[3], kwargs.get("jacobian") is not None))
+        assert kwargs["lu"].n == args[2].size  # the driver always factors for the step
+        calls.append((args[3], not evaluated))
+        evaluated.clear()
         if len(calls) in fail_at:
             raise error("injected")
-        return original(*args, **kwargs)
+        return original_step(*args, **kwargs)
 
+    monkeypatch.setattr(trbdf2, "jacobian_at", jacobian_at)
     monkeypatch.setattr(trbdf2, "step", logged)
     return calls
 
@@ -212,17 +221,33 @@ def test_no_jacobian_is_evaluated_twice_at_one_point():
         assert len(set(keys)) == len(keys)
 
 
+@pytest.mark.parametrize("run", [integrate, integrate_single_rate])
+def test_non_finite_jacobian_at_the_start_point_ends_the_run_at_once(run):
+    # J = 0.5/√|y| is infinite at y = 0 whatever h, so no smaller step helps
+    evaluations = []
+
+    def jacobian(t, y):
+        evaluations.append((t, y.tobytes()))
+        with np.errstate(divide="ignore"):
+            return np.array([[0.5 / np.sqrt(abs(y[0]))]])
+
+    p = OdeProblem(m=1, rhs=lambda t, y: np.sqrt(np.abs(y)), jacobian=jacobian)
+    with pytest.raises(NonFiniteOutput):
+        run(p, 0.0, 1.0, np.zeros(1), default_cfg())
+    assert evaluations == [(0.0, np.zeros(1).tobytes())]
+
+
 def test_jacobian_is_carried_only_after_fast_newton_stages():
     cfg = default_cfg(tolerances=ToleranceSpec(1e-2, 1e-2), controller=ControllerConfig(delta=1.0))
     linear = linear_problem([[-2.0, 1.0], [0.0, -50.0]])
     out = macro_step(linear, 0.0, np.array([1.0, 1.0]), 1e-2, cfg)
-    assert max(out.record.newton_iterations) <= trbdf2.REUSE_MAX_ITERATIONS
+    assert max(out.record.newton_iterations) <= integrator.REUSE_MAX_ITERATIONS
     assert np.array_equal(out.jacobian, linear.jacobian(0.0, None))
     # a Jacobian off by a factor 5: Newton contracts only linearly
     rough = OdeProblem(m=1, rhs=lambda t, y: -100.0 * y, jacobian=lambda t, y: np.array([[-20.0]]))
     out = macro_step(rough, 0.0, np.array([1.0]), 5e-3, cfg)
     assert out.record.rejections == 0
-    assert max(out.record.newton_iterations) > trbdf2.REUSE_MAX_ITERATIONS
+    assert max(out.record.newton_iterations) > integrator.REUSE_MAX_ITERATIONS
     assert out.jacobian is None
 
 
@@ -238,7 +263,7 @@ def test_error_test_rejection_on_a_fresh_jacobian_evaluates_it_once():
     counter = EvalCounter()
     out = macro_step(p, 0.0, np.array([1.0]), 2e-2, cfg, counter=counter)
     assert out.record.rejections == 2
-    assert max(out.record.newton_iterations) > trbdf2.REUSE_MAX_ITERATIONS
+    assert max(out.record.newton_iterations) > integrator.REUSE_MAX_ITERATIONS
     # every attempt starts at (0, 1), so all three share one evaluation
     assert counter.jacobian_evaluations == 1
     assert counter.rejections == {"error_test": 2}
@@ -267,14 +292,15 @@ def test_failure_on_the_kept_jacobian_halves_h_at_once(monkeypatch):
                                           (SingularMatrix, "singular_matrix")])
 def test_each_failure_is_counted_by_its_cause(monkeypatch, error, cause):
     # a failure on a carried Jacobian is a stale-Jacobian retry, not a
-    # rejection; the same failure on the fresh one halves h
+    # rejection; the same failure on the fresh one halves h and keeps it
     p = linear_problem([[-1.0]])
     cfg = default_cfg(controller=ControllerConfig(delta=1.0))
     counter = EvalCounter()
     calls = logged_steps(monkeypatch, fail_at={1, 2}, error=error)
     out = macro_step(p, 0.0, np.array([1.0]), 1e-2, cfg, counter=counter,
                      jacobian=np.array([[-1.0]]))
-    assert calls[:3] == [(1e-2, True), (1e-2, False), (5e-3, False)]
+    assert calls[:3] == [(1e-2, True), (1e-2, False), (5e-3, True)]
+    assert counter.jacobian_evaluations == 1
     assert out.record.rejections == 1
     assert counter.rejections == {cause: 1}
     assert counter.stale_jacobian_retries == 1

@@ -15,6 +15,8 @@ from mrtrbdf2.trbdf2 import (
     W_STAGE,
     WEIGHTS,
     NewtonConfig,
+    jacobian_at,
+    newton_matrix,
     raw_error_estimate,
     stability_function,
     step,
@@ -269,7 +271,8 @@ def test_rate_stop_stays_within_kappa_of_a_tight_solve():
     # solution, where a stop that weighs ‖Δz‖ by 0.1 in place of d lands 2.2κ
     # and 2.5κ off.
     h = 0.02
-    rough = step(p, 0.0, y, h, tolerances=tol, jacobian=2.0 * step(p, 0.0, y, h).jacobian)
+    rough_lu = newton_matrix(2.0 * jacobian_at(p, 0.0, y, None, None, None), h, p.bandwidth)
+    rough = step(p, 0.0, y, h, tolerances=tol, lu=rough_lu)
     stages = ((GAMMA * h, y + D_STAGE * rough.z_n, rough.z_gamma),
               (h, y + W_STAGE * (rough.z_n + rough.z_gamma), rough.z_next))
     for t_stage, base, z in stages:
@@ -289,19 +292,20 @@ def exact_stage_solution(p, t, base, z, h):
     raise AssertionError("reference Newton did not converge")
 
 
-def test_carried_jacobian_is_used_and_returned():
+def test_given_factorization_is_used_and_no_jacobian_is_evaluated():
     p = stiff_cubic_chain()
     y = np.sin(np.pi * np.arange(1, 9) / 9.0)
     counter = EvalCounter()
     first = step(p, 0.0, y, 0.01, counter=counter)
     assert counter.jacobian_evaluations == 1
     assert counter.newton_iterations == sum(first.newton_iterations)
-    # banded problem: J comes back in band storage, and passing it on
-    # evaluates none while giving the step of a fresh J at the same state
-    assert first.jacobian.shape == (3, 8)
-    again = step(p, 0.0, y, 0.01, counter=counter, jacobian=first.jacobian)
-    assert counter.jacobian_evaluations == 1
-    assert again.jacobian is first.jacobian
+    # banded problem: J comes in band storage, and the factorization of a J
+    # held by the caller evaluates none in the step while giving the step of
+    # a fresh J at the same state
+    jac = jacobian_at(p, 0.0, y, None, None, counter)
+    assert jac.shape == (3, 8)
+    again = step(p, 0.0, y, 0.01, counter=counter, lu=newton_matrix(jac, 0.01, p.bandwidth))
+    assert counter.jacobian_evaluations == 2
     assert again.u_next.tobytes() == first.u_next.tobytes()
     with pytest.raises(DimensionMismatch):
-        step(p, 0.0, y, 0.01, jacobian=first.jacobian[:, :4])
+        step(p, 0.0, y, 0.01, lu=newton_matrix(jac[:, :4], 0.01, p.bandwidth))
