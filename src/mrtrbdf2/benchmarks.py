@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .controller import ToleranceSpec
+from .dense_linalg import from_diagonals
 from .errors import MissingSpatialMetadata
 from .integrator import IntegrationTrace, MultirateConfig, Trajectory
 from .ode_problem import OdeProblem
@@ -108,12 +109,8 @@ def inverter_chain(
         drive[1:] = y[:-1]
         b = np.maximum(drive - y - u_thresh, 0.0)
         a = np.maximum(drive - u_thresh, 0.0)
-        j = np.zeros((m, m))
-        np.fill_diagonal(j, -1.0 - gamma_stiff * 2.0 * b)
         dg_dy = 2.0 * a - 2.0 * b
-        i = np.arange(1, m)
-        j[i, i - 1] = -gamma_stiff * dg_dy[1:]
-        return j
+        return from_diagonals(m, {0: -1.0 - gamma_stiff * 2.0 * b, 1: -gamma_stiff * dg_dy[1:]})
 
     y0 = np.full(m, 5.0)
     y0[1::2] = 6.247e-3  # even positions in 1-based numbering
@@ -162,15 +159,9 @@ def reaction_diffusion(
         return diff * lap + gamma_r * y * y * (1.0 - y)
 
     def jac(t: float, y: np.ndarray) -> np.ndarray:
-        n = y.size
-        j = np.zeros((n, n))
-        np.fill_diagonal(j, -2.0 * diff + gamma_r * (2.0 * y - 3.0 * y * y))
-        j[0, 0] += diff
-        j[n - 1, n - 1] += diff
-        idx = np.arange(n - 1)
-        j[idx, idx + 1] = diff
-        j[idx + 1, idx] = diff
-        return j
+        main = -2.0 * diff + gamma_r * (2.0 * y - 3.0 * y * y)
+        main[[0, -1]] += diff  # the mirror ghosts
+        return from_diagonals(y.size, {0: main, 1: diff, -1: diff})
 
     cfg = MultirateConfig(ToleranceSpec(tol_rel, tol_abs), h0=h0)
     problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"reaction_diffusion_n{n_cells}",
@@ -218,9 +209,8 @@ def linear_advection(
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return -(y - np.roll(y, 1)) / dx
 
-    jmat = np.zeros((n_cells, n_cells))
-    np.fill_diagonal(jmat, -1.0 / dx)
-    jmat[np.arange(n_cells), np.arange(-1, n_cells - 1)] = 1.0 / dx
+    jmat = from_diagonals(n_cells, {0: -1.0 / dx, 1: 1.0 / dx})
+    jmat[0, -1] = 1.0 / dx  # periodic inflow
 
     def jac(t: float, y: np.ndarray) -> np.ndarray:
         return jmat
@@ -278,7 +268,6 @@ def burgers_riemann(
     def jac(t: float, y: np.ndarray) -> np.ndarray:
         # Differentiate the Rusanov flux cellwise; at |ul| == |ur| ties the
         # left state is charged, matching the evaluation above.
-        n = y.size
         ul = np.concatenate(([u_left], y))
         ur = np.concatenate((y, [u_right]))
         au, av = np.abs(ul), np.abs(ur)
@@ -287,14 +276,10 @@ def burgers_riemann(
         dspeed_dur = np.where(left_max, 0.0, np.sign(ur))
         df_dul = 0.5 * ul - 0.5 * dspeed_dul * (ur - ul) + 0.5 * np.maximum(au, av)
         df_dur = 0.5 * ur - 0.5 * dspeed_dur * (ur - ul) - 0.5 * np.maximum(au, av)
-        j = np.zeros((n, n))
-        idx = np.arange(n)
         # cell i sees flux i+1 through its left state y_i and flux i through
         # its right state y_i; neighbours enter through the shared interfaces
-        j[idx, idx] = -(df_dul[1:] - df_dur[:-1]) / dx
-        j[idx[1:], idx[:-1]] = df_dul[1:-1] / dx
-        j[idx[:-1], idx[1:]] = -df_dur[1:-1] / dx
-        return j
+        return from_diagonals(y.size, {0: -(df_dul[1:] - df_dur[:-1]) / dx,
+                                       1: df_dul[1:-1] / dx, -1: -df_dur[1:-1] / dx})
 
     if u_left > u_right:
         shock_speed = 0.5 * (u_left + u_right)

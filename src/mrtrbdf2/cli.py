@@ -35,7 +35,7 @@ from .benchmarks import BenchmarkPreset, courant_numbers
 from .controller import ToleranceSpec
 from .dense_linalg import as_matrix
 from .errors import ToolkitError
-from .integrator import IntegrationTrace, Trajectory, integrate, integrate_single_rate
+from .integrator import INTERPOLANT_KINDS, IntegrationTrace, Trajectory, integrate, integrate_single_rate
 from .ode_problem import ActivePartition
 from .stability import MODEL_SYSTEMS, default_rescaled_grid, model_system, norm_sweep
 
@@ -255,7 +255,7 @@ def cmd_stability(args, argv: Sequence[str]) -> int:
                 idx = [int(s) for s in args.active.split(",") if s.strip()]
                 partition = ActivePartition(a.shape[0], idx)
             name = args.system
-        kinds = ("linear", "hermite") if args.kind == "both" else (args.kind,)
+        kinds = INTERPOLANT_KINDS if args.kind == "both" else (args.kind,)
         grid = default_rescaled_grid(args.points, args.smin, args.smax)
     except (ValueError, OSError, ToolkitError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -350,7 +350,7 @@ def _add_preset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--h0", type=float, default=None)
-    p.add_argument("--interp", choices=("linear", "hermite"), default=None)
+    p.add_argument("--interp", choices=INTERPOLANT_KINDS, default=None)
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--cells", type=int, default=None, help="spatial cells for PDE presets")
     p.add_argument("--m", type=int, default=None, help="chain length for the inverter preset")
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--system", choices=MODEL_SYSTEMS, default=None)
     p_st.add_argument("--matrix-file", default=None, help="CSV file with a square matrix")
     p_st.add_argument("--active", default=None, help="comma-separated active indices")
-    p_st.add_argument("--kind", choices=("linear", "hermite", "both"), default="both")
+    p_st.add_argument("--kind", choices=(*INTERPOLANT_KINDS, "both"), default="both")
     p_st.add_argument("--points", type=int, default=60)
     p_st.add_argument("--smin", type=float, default=1e-3)
     p_st.add_argument("--smax", type=float, default=100.0)

@@ -26,7 +26,11 @@ function objects, but the package import also runs SciPy's array-API layer,
 which pulls in ``numpy.f2py`` and ``numpy.testing``: about 0.27 s of the
 0.42 s that ``import mrtrbdf2.cli`` took with it (Python 3.11, SciPy 1.17).
 The module is registered in ``sys.modules`` under its own name, so a later
-``import scipy.linalg`` shares it instead of loading a second copy.
+``import scipy.linalg`` shares it instead of loading a second copy.  The
+import system sets a submodule as an attribute of its package only when it
+loads it, so when ``mrtrbdf2`` loads first, the ``scipy.linalg`` package
+imported after it has no ``_flapack`` attribute; ``from scipy.linalg import
+_flapack`` and ``scipy.linalg.lapack`` still reach the module.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,6 +105,18 @@ def _as_square(a, finite: bool = True) -> np.ndarray:
     if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"matrix must be square, got shape {m.shape}")
     return m
+
+
+def from_diagonals(n: int, diagonals: Mapping[int, object]) -> np.ndarray:
+    """The dense n×n matrix with ``diagonals[k]`` (its n − |k| entries in
+    column order, or a scalar) on diagonal k = i − j, k > 0 below the main
+    one, and zeros elsewhere.  Written by assignment only, so −0.0 keeps its
+    sign; on the band it is the inverse of :func:`band_storage`."""
+    a = np.zeros((n, n))
+    flat = a.reshape(-1)  # a view: diagonal k is every (n+1)-th entry from its first
+    for k, values in diagonals.items():
+        flat[k * n if k >= 0 else -k::n + 1][:max(0, n - abs(k))] = values
+    return a
 
 
 def band_storage(a, band: Tuple[int, int]) -> np.ndarray:

@@ -20,10 +20,10 @@ carried from macro step to macro step, into a refinement window as the
 cohort's block, and across its micro steps; a slow Newton stage drops it
 (:data:`REUSE_MAX_ITERATIONS`).  A failure on a carried Jacobian is retried
 once at the same h on a fresh one, which is not a rejection; a failure on a
-fresh one halves h and keeps it.  A J not finite at the step start ends the
-run, as no smaller h changes it.  An FSAL value that cannot be rescaled to the
-new h (h/h_prev overflows after a landing step near the smallest subnormal) is
-dropped, and the step evaluates its own.
+fresh one halves h and keeps it.  Without an FSAL hand-off that rescales to
+the new h (h/h_prev overflows after a landing near the smallest subnormal),
+the loop evaluates f at the step start once for all attempts.  A J or f not
+finite at the step start ends the run, as no smaller h changes it.
 
 Macro and micro steps also land by one rule: a step accepted at the whole gap
 to its target (a sample time or t_end for a macro step, the window end for a
@@ -230,7 +230,8 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
     It passes when every component outside the refinement set
     {η > δ·max η} ∩ {η > 1} meets its tolerance; δ = 1 flags nothing.
     ``fsal`` is a macro step's (z, h_prev) hand-off, ``part``/``frozen`` a
-    micro step's cohort and latent context.  J is the carried ``jacobian``
+    micro step's cohort and latent context; without a usable one, f(t, x)
+    becomes the hand-off (f, 1.0).  J is the carried ``jacobian``
     until a failure or a slow stage drops it; then J at (t, x) is evaluated
     once and serves all later attempts, also after a failure on it, which
     halves h with no retry.  Each attempt factors I − d·h·J for the step.
@@ -249,12 +250,11 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
         counter.step_attempts += 1
         if h >= span * (1.0 - 1e-9):
             h = span
-        z_in = None
-        if fsal is not None:
-            z_prev, h_prev = fsal
-            ratio = h / h_prev
-            if math.isfinite(ratio):  # after a landing step near 5e-324 it overflows
-                z_in = z_prev * ratio
+        ratio = math.inf if fsal is None else h / fsal[1]
+        if not math.isfinite(ratio):  # none, or overflows after a landing near 5e-324
+            # f(t, x) serves every attempt; a non-finite one raises here, whatever h
+            fsal, ratio = (trbdf2.rhs_at(problem, t, x, part, frozen, counter), 1.0), h
+        z_in = fsal[0] * ratio
         if jacobian is None:  # a non-finite J at (t, x) raises here, whatever h
             jacobian = trbdf2.jacobian_at(problem, t, x, part, frozen, counter)
             fresh = True

@@ -34,13 +34,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .dense_linalg import as_matrix, eigenvalues, lu_factor, lu_solve, matrix_norm, spectral_radius
+from .dense_linalg import (as_matrix, eigenvalues, from_diagonals, lu_factor, lu_solve, matrix_norm,
+                           spectral_radius)
 from .errors import UnknownSystem
+from .integrator import INTERPOLANT_KINDS
 from .ode_problem import ActivePartition
 from .trbdf2 import GAMMA
 
 NORM_KINDS = ("one", "two", "inf")
-INTERPOLATION_KINDS = ("linear", "hermite")
 
 # Bytes of one stacked array in a sweep chunk.  A chunk holds about a dozen
 # such arrays at once, so this bounds the sweep's working memory whatever the
@@ -106,15 +107,14 @@ TRBDF2_METHOD = trbdf2_method()
 def _check_setup(m: int, active: ActivePartition, kinds: Sequence[str]) -> None:
     if active.m != m:
         raise ValueError("partition dimension does not match the matrix")
-    for kind in kinds:
-        if kind not in INTERPOLATION_KINDS:
-            raise ValueError("interpolation kind must be 'linear' or 'hermite'")
+    if not set(kinds) <= set(INTERPOLANT_KINDS):
+        raise ValueError(f"interpolation kind must be one of {INTERPOLANT_KINDS}")
 
 
 @dataclass(frozen=True)
 class StabilitySetup:
     """One stability-matrix assembly: system matrix, macro step, active subset
-    and latent interpolation kind ('linear' or 'hermite')."""
+    and latent interpolation kind (one of :data:`~.integrator.INTERPOLANT_KINDS`)."""
 
     matrix: np.ndarray
     h: float
@@ -153,7 +153,7 @@ def _interpolation(z: np.ndarray, r, kind: str) -> np.ndarray:
     if kind == "linear":
         return 0.5 * (eye + r)
     if kind != "hermite":
-        raise ValueError("interpolation kind must be 'linear' or 'hermite'")
+        raise ValueError(f"interpolation kind must be one of {INTERPOLANT_KINDS}")
     g = GAMMA
     lu = lu_factor(eye - 0.5 * g * z)
     r_gamma = lu_solve(lu, eye + 0.5 * g * z)
@@ -241,7 +241,7 @@ def default_rescaled_grid(n_points: int = 60, s_min: float = 1e-3, s_max: float 
 def norm_sweep(
     a,
     partition: ActivePartition,
-    kinds: Sequence[str] = ("linear", "hermite"),
+    kinds: Sequence[str] = INTERPOLANT_KINDS,
     rescaled_grid: np.ndarray | None = None,
     system_name: str = "",
     method: RationalMatrixMethod = TRBDF2_METHOD,
@@ -297,6 +297,12 @@ def _sweep_chunk(a: np.ndarray, eigs: np.ndarray, h: np.ndarray, partition: Acti
     return single, multi
 
 
+def _harmonic_interfaces(c: np.ndarray) -> np.ndarray:
+    """Interface values of the cell values ``c``: harmonic means of the two
+    neighbours inside, and the boundary cells' own values at the two ends."""
+    return np.concatenate(([c[0]], 2.0 * c[:-1] * c[1:] / (c[:-1] + c[1:]), [c[-1]]))
+
+
 def _conservative_diffusion(n: int, coeff: np.ndarray, dx: float) -> np.ndarray:
     """(D(x) u')' by second differences, Dirichlet closure.
 
@@ -304,18 +310,8 @@ def _conservative_diffusion(n: int, coeff: np.ndarray, dx: float) -> np.ndarray:
     treatment of a coefficient jump), so the matrix stays symmetric and the
     slow/fast blocks couple only weakly.
     """
-    iface = np.empty(n + 1)
-    iface[1:-1] = 2.0 * coeff[:-1] * coeff[1:] / (coeff[:-1] + coeff[1:])
-    iface[0] = coeff[0]
-    iface[-1] = coeff[-1]
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, i] = -(iface[i] + iface[i + 1])
-        if i > 0:
-            a[i, i - 1] = iface[i]
-        if i < n - 1:
-            a[i, i + 1] = iface[i + 1]
-    return a / dx**2
+    iface = _harmonic_interfaces(coeff)
+    return from_diagonals(n, {0: -(iface[:-1] + iface[1:]), 1: iface[1:-1], -1: iface[1:-1]}) / dx**2
 
 
 def _flux_form_advection(n: int, vel: np.ndarray, dx: float) -> np.ndarray:
@@ -324,27 +320,17 @@ def _flux_form_advection(n: int, vel: np.ndarray, dx: float) -> np.ndarray:
     Off-diagonal pairs are exactly skew-symmetric, keeping the operator
     near-normal across the velocity jump.
     """
-    iface = np.empty(n + 1)
-    iface[1:-1] = 2.0 * vel[:-1] * vel[1:] / (vel[:-1] + vel[1:])
-    iface[0] = vel[0]
-    iface[-1] = vel[-1]
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, i] = 0.5 * (iface[i] - iface[i + 1])
-        if i > 0:
-            a[i, i - 1] = 0.5 * iface[i]
-        if i < n - 1:
-            a[i, i + 1] = -0.5 * iface[i + 1]
-    return a / dx
+    iface = _harmonic_interfaces(vel)
+    return from_diagonals(n, {0: 0.5 * (iface[:-1] - iface[1:]), 1: 0.5 * iface[1:-1],
+                              -1: -0.5 * iface[1:-1]}) / dx
 
 
 def _advective_form_advection(n: int, vel: np.ndarray, dx: float) -> np.ndarray:
     """-v(x) u' by centered differences on a periodic grid (pure transport;
     the spectrum stays purely imaginary for any velocity field)."""
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, (i - 1) % n] = vel[i] / 2.0
-        a[i, (i + 1) % n] = -vel[i] / 2.0
+    a = from_diagonals(n, {1: vel[1:] / 2.0, -1: -vel[:-1] / 2.0})
+    a[0, -1] = vel[0] / 2.0  # the periodic wrap-around
+    a[-1, 0] = -vel[-1] / 2.0
     return a / dx
 
 

@@ -13,10 +13,12 @@ components.
 caller passes in.  The caller builds it with :func:`jacobian_at` and
 :func:`newton_matrix`, and so decides which J a step uses: the integrator
 carries J across steps and refactors it with the current h, as in Hosea &
-Shampine's ode23tb.  Called alone, :func:`step` evaluates J at the step start
-and factors it itself.  Given the caller's tolerances, Newton stops as soon as
-its contraction rate predicts a stage error well below them (Hairer & Wanner,
-*Solving ODEs II*, §IV.8); see :data:`NEWTON_KAPPA`.
+Shampine's ode23tb.  The integrator also always passes the first stage
+derivative z_n, from the previous step or from :func:`rhs_at`.  Called alone,
+:func:`step` evaluates z_n and J at the step start and factors J itself.
+Given the caller's tolerances, Newton stops as soon as its contraction rate
+predicts a stage error well below them (Hairer & Wanner, *Solving ODEs II*,
+§IV.8); see :data:`NEWTON_KAPPA`.
 
 A step is taken on an active subsystem whose latent components are read from
 a callable of the stage time (see :mod:`.ode_problem`); the full system is
@@ -120,6 +122,15 @@ def raw_error_estimate(z_n: np.ndarray, z_gamma: np.ndarray, z_next: np.ndarray)
         raise DimensionMismatch("stage vectors must share one shape")
     e_n, e_gamma, e_next = _ERROR_WEIGHTS
     return e_n * z_n + e_gamma * z_gamma + e_next * z_next
+
+
+def rhs_at(problem: OdeProblem, t: float, u: np.ndarray, part: Optional[ActivePartition],
+           frozen: Optional[Callable[[float], np.ndarray]], counter: Optional[EvalCounter]) -> np.ndarray:
+    """f of the (sub)system at (t, u), with ``part`` and ``frozen`` as in
+    :func:`step`: the z_n/h that :func:`step` takes as ``z_in``."""
+    if part is None or part.is_full:
+        return eval_subsystem_rhs(problem, t, u, None, ActivePartition.full(problem.m), counter)
+    return eval_subsystem_rhs(problem, t, u, frozen(t), part, counter)
 
 
 def jacobian_at(problem: OdeProblem, t: float, u: np.ndarray, part: Optional[ActivePartition],
@@ -230,8 +241,9 @@ def step(
     Jacobian write the active state into that context in place; its latent
     entries are only read.  ``frozen=None`` is the full system, evaluated on
     the state itself.  ``z_in`` is an already-scaled first-stage derivative
-    h·f(t, u) (the FSAL hand-off from a previous step); when absent it is
-    computed.
+    h·f(t, u), which the integrator always passes (the FSAL hand-off from a
+    previous step, or h times :func:`rhs_at`); only a step called alone
+    evaluates it here.
 
     Both implicit stages and the error estimate share ``lu``, the
     factorization of (I − d·h·J) for this h that :func:`newton_matrix`

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mrtrbdf2.dense_linalg import (band_storage, block, eigenvalues, lu_factor, lu_solve,
-                                   matrix_norm, spectral_radius)
+from mrtrbdf2.dense_linalg import (band_storage, block, eigenvalues, from_diagonals, lu_factor,
+                                   lu_solve, matrix_norm, spectral_radius)
 from mrtrbdf2.errors import DimensionMismatch, SingularMatrix
 
 
@@ -166,6 +168,31 @@ def test_block_of_band_storage_is_band_storage_of_the_block(kl, ku):
         sub = a[np.ix_(idx, idx)]
         assert np.array_equal(block(a, idx), sub)
         assert np.array_equal(block(band_storage(a, (kl, ku)), idx, (kl, ku)), to_band(sub, kl, ku))
+
+
+# −0.0 is drawn often: the inverter chain's subdiagonal holds it wherever a
+# gate is closed, and a sum of np.diag terms would turn it into +0.0.
+entries = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_from_diagonals_is_the_inverse_of_band_storage_on_the_band(data):
+    n = data.draw(st.integers(1, 10))
+    kl, ku = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    listed = data.draw(st.lists(st.integers(-ku, kl), unique=True))
+    diagonals = {k: data.draw(st.one_of(entries, st.lists(entries, min_size=n - abs(k),
+                                                          max_size=n - abs(k)).map(np.array)))
+                 for k in listed}
+    a = from_diagonals(n, diagonals)
+    ab = band_storage(a, (kl, ku))
+    for k in range(-ku, kl + 1):
+        lo, hi = max(0, -k), min(n, n - k)
+        want = np.broadcast_to(np.asarray(diagonals.get(k, 0.0), dtype=float), (hi - lo,))
+        assert ab[ku + k, lo:hi].tobytes() == want.tobytes()  # bitwise, so signed zeros too
+    i, j = np.indices((n, n))
+    off = ~np.isin(i - j, listed)
+    assert a[off].tobytes() == np.zeros(int(off.sum())).tobytes()
 
 
 @pytest.mark.parametrize("kl,ku", [(1, 1), (2, 1)])

@@ -1,3 +1,4 @@
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -235,6 +236,56 @@ def test_non_finite_jacobian_at_the_start_point_ends_the_run_at_once(run):
     with pytest.raises(NonFiniteOutput):
         run(p, 0.0, 1.0, np.zeros(1), default_cfg())
     assert evaluations == [(0.0, np.zeros(1).tobytes())]
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_single_rate])
+def test_non_finite_rhs_at_the_start_point_ends_the_run_at_once(run):
+    # f = √y has no real value at y = −1 whatever h, though J is finite there
+    calls = []
+
+    def rhs(t, y):
+        calls.append((t, y.tobytes()))
+        return np.sqrt(y) if y[0] >= 0.0 else np.full(1, np.nan)
+
+    p = OdeProblem(m=1, rhs=rhs, jacobian=lambda t, y: np.array([[1.0]]))
+    with pytest.raises(NonFiniteOutput):
+        run(p, 0.0, 1.0, np.array([-1.0]), default_cfg())
+    assert calls == [(0.0, np.array([-1.0]).tobytes())]
+
+
+def test_f_is_evaluated_once_per_step_start(monkeypatch):
+    # Rejected micro attempts retry from the same start.  Only step starts are
+    # keyed, as a stale-Jacobian retry repeats its first stage evaluation, and
+    # another step's stages are left out: a micro step's last Newton iterate
+    # may be the next step's start exactly (a component resting at 5.0).
+    def key(t, x, part):
+        return None if part is None or part.is_full else part.indices.tobytes(), t, x.tobytes()
+
+    starts, evaluated = Counter(), Counter()
+    running = []  # the start of the step call in progress
+    original_step, original_rhs = trbdf2.step, trbdf2.eval_subsystem_rhs
+
+    def step(problem, t, u, h, part=None, **kwargs):
+        running.append(key(t, u, part))
+        starts[running[-1]] += 1
+        try:
+            return original_step(problem, t, u, h, part=part, **kwargs)
+        finally:
+            running.pop()
+
+    def eval_subsystem_rhs(problem, t, x, frozen, part, counter=None):
+        k = key(t, x, part)
+        if not running or running[-1] == k:
+            evaluated[k] += 1
+        return original_rhs(problem, t, x, frozen, part, counter)
+
+    monkeypatch.setattr(trbdf2, "step", step)
+    monkeypatch.setattr(trbdf2, "eval_subsystem_rhs", eval_subsystem_rhs)
+    preset = inverter_chain(m=12, t_end=8.0)
+    _, trace = integrate(preset.problem, preset.t0, preset.t_end, preset.y0, preset.config)
+    assert trace.rejected_micro > 0
+    assert any(k[0] is not None and n > 1 for k, n in starts.items())  # micro retries
+    assert max(evaluated[k] for k in starts) == 1
 
 
 def test_jacobian_is_carried_only_after_fast_newton_stages():
