@@ -1,21 +1,26 @@
 """Write the CSV artifacts of every preset run and model-system sweep, and
-print their sha256 lines.
+print their sha256 lines and those of the runs' summary metrics.
 
     PYTHONPATH=src python scripts/artifact_hashes.py OUT_DIR
 
 Runs ``run`` on every preset in both modes (single and multi) and
 ``stability --kind both --points 400`` on every model system, each into its
 own directory under OUT_DIR.  Then it prints one ``<sha256>  <path>`` line per
-CSV file written, sorted by path, with paths relative to OUT_DIR.  The CLI's
+CSV file written, sorted by path, with paths relative to OUT_DIR, and after
+them one ``<sha256>  run/<preset>-<mode>/summary.json:metrics`` line per run:
+the hash of the canonical JSON (sorted keys, no whitespace) of the ``metrics``
+of its ``summary.json`` without ``wall_time_s``, a measurement.  The CLI's
 messages go to stderr, so stdout holds only the hash lines.
 
-Identical invocations must reproduce every CSV bitwise, so two runs of one
-tree print the same lines.  Comparing the output of two trees shows whether a
-change kept every artifact's bytes.
+Identical invocations must reproduce every CSV bitwise and every count of a
+run, so two runs of one tree print the same lines.  Comparing the output of
+two trees shows whether a change kept every artifact's bytes and every
+summary metric but the wall time.
 """
 
 import contextlib
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -36,8 +41,15 @@ def commands(out_dir: Path):
 
 
 def sha256_lines(out_dir: Path):
-    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_dir).as_posix()}"
-            for path in sorted(out_dir.rglob("*.csv"))]
+    lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_dir).as_posix()}"
+             for path in sorted(out_dir.rglob("*.csv"))]
+    for path in sorted(out_dir.glob("run/*/summary.json")):
+        metrics = json.loads(path.read_text())["metrics"]
+        del metrics["wall_time_s"]
+        canonical = json.dumps(metrics, sort_keys=True, separators=(",", ":")).encode()
+        lines.append(f"{hashlib.sha256(canonical).hexdigest()}  "
+                     f"{path.relative_to(out_dir).as_posix()}:metrics")
+    return lines
 
 
 def run(out_dir: Path) -> int:

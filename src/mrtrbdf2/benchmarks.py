@@ -116,8 +116,7 @@ def inverter_chain(
     y0[1::2] = 6.247e-3  # even positions in 1-based numbering
     cfg = MultirateConfig(ToleranceSpec(0.0, tol_abs), h0=h0)
     # each inverter is driven by its upstream neighbour only
-    problem = OdeProblem(m=m, rhs=rhs, jacobian=jac, name=f"inverter_chain_m{m}",
-                         bandwidth=(min(1, m - 1), 0))
+    problem = OdeProblem(m=m, rhs=rhs, jacobian=jac, bandwidth=(min(1, m - 1), 0))
     return BenchmarkPreset(
         name="inverter_chain", problem=problem, y0=y0, t0=0.0, t_end=t_end,
         config=cfg, reference_kind="radau",
@@ -164,8 +163,7 @@ def reaction_diffusion(
         return from_diagonals(y.size, {0: main, 1: diff, -1: diff})
 
     cfg = MultirateConfig(ToleranceSpec(tol_rel, tol_abs), h0=h0)
-    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"reaction_diffusion_n{n_cells}",
-                         bandwidth=(1, 1))
+    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, bandwidth=(1, 1))
     return BenchmarkPreset(
         name="reaction_diffusion", problem=problem, y0=y0, t0=0.0, t_end=t_end,
         config=cfg, reference_kind="radau", dx=dx,
@@ -221,7 +219,7 @@ def linear_advection(
 
     cfg = MultirateConfig(ToleranceSpec(tol_rel, tol_abs), h0=h0)
     # no bandwidth: the periodic inflow puts an entry in the corner J[0, n-1]
-    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"advection_n{n_cells}")
+    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac)
     return BenchmarkPreset(
         name="advection", problem=problem, y0=y0, t0=0.0, t_end=t_end,
         config=cfg, exact_solution=exact, reference_kind="explicit", dx=dx,
@@ -296,8 +294,7 @@ def burgers_riemann(
             return np.full_like(x, u_left)
 
     cfg = MultirateConfig(ToleranceSpec(tol_rel, tol_abs), h0=h0)
-    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, name=f"burgers_n{n_cells}",
-                         bandwidth=(1, 1))
+    problem = OdeProblem(m=n_cells, rhs=rhs, jacobian=jac, bandwidth=(1, 1))
     return BenchmarkPreset(
         name="burgers", problem=problem, y0=y0, t0=0.0, t_end=t_end,
         config=cfg, exact_solution=exact, reference_kind="explicit", dx=dx,

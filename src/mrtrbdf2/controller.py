@@ -66,7 +66,7 @@ class ControllerConfig:
             raise ValueError("nu must lie in (0, 1)")
         if not (0.0 < self.h_min < self.h_max):
             raise ValueError("need 0 < h_min < h_max")
-        if self.max_growth <= 1.0:
+        if not (self.max_growth > 1.0):
             raise ValueError("max_growth must exceed 1")
         if self.max_rejections < 1:
             raise ValueError("max_rejections must be >= 1")

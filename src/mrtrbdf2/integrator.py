@@ -23,7 +23,8 @@ once at the same h on a fresh one, which is not a rejection; a failure on a
 fresh one halves h and keeps it.  Without an FSAL hand-off that rescales to
 the new h (h/h_prev overflows after a landing near the smallest subnormal),
 the loop evaluates f at the step start once for all attempts.  A J or f not
-finite at the step start ends the run, as no smaller h changes it.
+finite at the step start ends the run, as no smaller h changes it.  A
+finite-difference J at the step start takes that f as its base value.
 
 Macro and micro steps also land by one rule: a step accepted at the whole gap
 to its target (a sample time or t_end for a macro step, the window end for a
@@ -234,7 +235,10 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
     becomes the hand-off (f, 1.0).  J is the carried ``jacobian``
     until a failure or a slow stage drops it; then J at (t, x) is evaluated
     once and serves all later attempts, also after a failure on it, which
-    halves h with no retry.  Each attempt factors I − d·h·J for the step.
+    halves h with no retry.  A finite-difference J takes that f(t, x) as its
+    base value, never a handed-in z.  Only these two evaluations on a proper
+    subsystem read the context ``frozen(t)``.  Each attempt factors
+    I − d·h·J for the step.
     Every attempt is charged to the run's budget ``cfg.max_steps`` on
     ``counter``, and rejections are counted there by cause.  Returns (step, h,
     η, refinement mask or None when δ = 1, rejections, the step's J, that J
@@ -242,7 +246,11 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
     step that lands on ``span``).
     """
     ctrl, tol = cfg.controller, cfg.tolerances
+    # f and J at (t, x) are taken on this partition, through trbdf2's bindings,
+    # which perfbench's tracer counts
+    sub = ActivePartition.full(problem.m) if part is None else part
     fresh = False  # whether ``jacobian`` was evaluated at (t, x)
+    f_start = None  # f(t, x) once evaluated here: a finite-difference J's base value
     rejections = 0
     while True:
         if counter.step_attempts >= cfg.max_steps:
@@ -253,10 +261,14 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
         ratio = math.inf if fsal is None else h / fsal[1]
         if not math.isfinite(ratio):  # none, or overflows after a landing near 5e-324
             # f(t, x) serves every attempt; a non-finite one raises here, whatever h
-            fsal, ratio = (trbdf2.rhs_at(problem, t, x, part, frozen, counter), 1.0), h
+            context = None if sub.is_full else frozen(t)
+            f_start = trbdf2.eval_subsystem_rhs(problem, t, x, context, sub, counter)
+            fsal, ratio = (f_start, 1.0), h
         z_in = fsal[0] * ratio
         if jacobian is None:  # a non-finite J at (t, x) raises here, whatever h
-            jacobian = trbdf2.jacobian_at(problem, t, x, part, frozen, counter)
+            context = None if sub.is_full else frozen(t)
+            jacobian = trbdf2.subsystem_jacobian(problem, t, x, context, sub, counter,
+                                                 f0=f_start)
             fresh = True
         try:
             lu = trbdf2.newton_matrix(jacobian, h, problem.bandwidth)

@@ -11,8 +11,11 @@ side ever has to be written by hand.
 
 The problem layer has one operation of each kind: :func:`eval_subsystem_rhs`
 for f and :func:`subsystem_jacobian` for ∂f/∂y (analytic when the problem has
-one, forward differences otherwise), both on an active subsystem.  The full
-system is the subsystem ``ActivePartition.full(m)``.  :func:`latent_halo`
+one, forward differences otherwise).  Both take one argument list, (problem,
+t, active state, context, partition, counter), and every call of the
+problem's rhs goes through :func:`eval_subsystem_rhs`, the finite-difference
+columns included.  The full system is the subsystem ``ActivePartition.full(m)``,
+evaluated on the state itself with no context.  :func:`latent_halo`
 names the latent components that an active subsystem's rows can read, so a
 caller may leave the rest of the frozen context stale.
 
@@ -118,7 +121,6 @@ class OdeProblem:
     m: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    name: str = ""
     bandwidth: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
@@ -131,19 +133,6 @@ class OdeProblem:
         if not (0 <= kl < self.m and 0 <= ku < self.m):
             raise ValueError(f"bandwidth {self.bandwidth} needs 0 <= kl, ku < m = {self.m}")
         object.__setattr__(self, "bandwidth", (kl, ku))
-
-
-def _call_rhs(p: OdeProblem, t: float, y: np.ndarray, counter: EvalCounter | None,
-              charge: int) -> np.ndarray:
-    """f(t, y), checked for shape; counts one rhs call that costs ``charge``
-    scalar evaluations."""
-    f = np.asarray(p.rhs(t, y), dtype=float)
-    if f.shape != (p.m,):
-        raise DimensionMismatch(f"rhs returned shape {f.shape}, expected ({p.m},)")
-    if counter is not None:
-        counter.scalar_evals += charge
-        counter.rhs_calls += 1
-    return f
 
 
 def eval_subsystem_rhs(
@@ -165,11 +154,16 @@ def eval_subsystem_rhs(
     """
     if len(x) != part.size:
         raise DimensionMismatch(f"substate length {len(x)} != active size {part.size}")
-    if part.is_full:
-        out = _call_rhs(p, t, x, counter, part.size)
-    else:
+    full = part.is_full
+    if not full:
         frozen[part.indices] = x
-        out = _call_rhs(p, t, frozen, counter, part.size)[part.indices]
+    f = np.asarray(p.rhs(t, x if full else frozen), dtype=float)
+    if f.shape != (p.m,):
+        raise DimensionMismatch(f"rhs returned shape {f.shape}, expected ({p.m},)")
+    if counter is not None:
+        counter.scalar_evals += part.size
+        counter.rhs_calls += 1
+    out = f if full else f[part.indices]
     if not np.logical_and.reduce(np.isfinite(out)):
         raise NonFiniteOutput(f"subsystem rhs produced non-finite values at t={t}")
     return out
@@ -199,44 +193,51 @@ def latent_halo(p: OdeProblem, part: ActivePartition) -> np.ndarray:
 def subsystem_jacobian(
     p: OdeProblem,
     t: float,
-    y: np.ndarray,
+    x: np.ndarray,
+    frozen: Optional[np.ndarray],
     part: ActivePartition,
     counter: EvalCounter | None = None,
+    f0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Active-row/active-column block of the full Jacobian at (t, y).
+    """Active-row/active-column block of the Jacobian of the subsystem at
+    (t, x), with ``x``, ``frozen`` and ``part`` as in :func:`eval_subsystem_rhs`.
 
     The latent components are held fixed, so this equals the Jacobian of the
     frozen subsystem.  With an analytic Jacobian the block is sliced out of
-    the checked m×m matrix, or out of its band storage
-    (:func:`~.dense_linalg.block`); with forward differences only the active
-    columns are formed, each with the increment sqrt(eps)·max(|y_j|, 1) so
-    that components at or near zero still get a sensible perturbation.  When
-    the problem declares a bandwidth the block comes in band storage
+    the checked m×m matrix at the context holding ``x``, or out of its band
+    storage (:func:`~.dense_linalg.block`).  With forward differences each
+    active column is one :func:`eval_subsystem_rhs` call on ``x`` with that
+    component raised by sqrt(eps)·max(|x_j|, 1), so that components at or
+    near zero still get a sensible perturbation; the base value is ``f0``
+    when the caller has f(t, x) already, and is evaluated otherwise.  The
+    context's latent entries are only read.  When the problem declares a
+    bandwidth the block comes in band storage
     (:func:`~.dense_linalg.band_storage`) with the same (kl, ku).  Each call
     counts one Jacobian evaluation on the counter.
     """
-    y = np.asarray(y, dtype=float)
-    idx = part.indices
+    x = np.asarray(x, dtype=float)
     if counter is not None:
         counter.jacobian_evaluations += 1
     if p.jacobian is not None:
-        jac = np.asarray(p.jacobian(t, y), dtype=float)
+        if not part.is_full:
+            frozen[part.indices] = x
+        jac = np.asarray(p.jacobian(t, x if part.is_full else frozen), dtype=float)
         if jac.shape != (p.m, p.m):
             raise DimensionMismatch(f"jacobian has shape {jac.shape}, expected ({p.m}, {p.m})")
         if not np.all(np.isfinite(jac)):
             raise NonFiniteOutput(f"jacobian produced non-finite values at t={t}")
         if p.bandwidth is None:
-            return block(jac, idx)
+            return block(jac, part.indices)
         jac = band_storage(jac, p.bandwidth)
-        return jac if part.is_full else block(jac, idx, p.bandwidth)
-    f0 = _call_rhs(p, t, y, counter, part.size)
+        return jac if part.is_full else block(jac, part.indices, p.bandwidth)
+    if f0 is None:
+        f0 = eval_subsystem_rhs(p, t, x, frozen, part, counter)
     fd = np.empty((part.size, part.size))
-    for col, j in enumerate(idx):
-        eps = FD_EPS * max(abs(y[j]), 1.0)
-        yp = y.copy()
-        yp[j] += eps
-        fp = _call_rhs(p, t, yp, counter, part.size)
-        fd[:, col] = (fp[idx] - f0[idx]) / eps
+    for j in range(part.size):
+        eps = FD_EPS * max(abs(x[j]), 1.0)
+        xp = x.copy()
+        xp[j] += eps
+        fd[:, j] = (eval_subsystem_rhs(p, t, xp, frozen, part, counter) - f0) / eps
     if not np.all(np.isfinite(fd)):
         raise NonFiniteOutput(f"subsystem jacobian non-finite at t={t}")
     if p.bandwidth is not None:

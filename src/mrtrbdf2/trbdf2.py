@@ -10,12 +10,14 @@ weight row provides a raw local error estimate, which is passed through
 components.
 
 :func:`step` solves its stages on a factorization of that matrix that the
-caller passes in.  The caller builds it with :func:`jacobian_at` and
-:func:`newton_matrix`, and so decides which J a step uses: the integrator
-carries J across steps and refactors it with the current h, as in Hosea &
-Shampine's ode23tb.  The integrator also always passes the first stage
-derivative z_n, from the previous step or from :func:`rhs_at`.  Called alone,
-:func:`step` evaluates z_n and J at the step start and factors J itself.
+caller passes in.  The caller builds it with
+:func:`~.ode_problem.subsystem_jacobian` and :func:`newton_matrix`, and so
+decides which J a step uses: the integrator carries J across steps and
+refactors it with the current h, as in Hosea & Shampine's ode23tb.  The
+integrator also always passes the first stage derivative z_n, from the
+previous step or from :func:`~.ode_problem.eval_subsystem_rhs` at the step
+start.  Called alone, :func:`step` evaluates z_n and J at the step start and
+factors J itself.
 Given the caller's tolerances, Newton stops as soon as its contraction rate
 predicts a stage error well below them (Hairer & Wanner, *Solving ODEs II*,
 §IV.8); see :data:`NEWTON_KAPPA`.
@@ -77,8 +79,8 @@ class NewtonConfig:
     max_iterations: int = 25
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("Newton tolerance must be positive")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError("Newton tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("Newton iteration cap must be >= 1")
 
@@ -122,30 +124,6 @@ def raw_error_estimate(z_n: np.ndarray, z_gamma: np.ndarray, z_next: np.ndarray)
         raise DimensionMismatch("stage vectors must share one shape")
     e_n, e_gamma, e_next = _ERROR_WEIGHTS
     return e_n * z_n + e_gamma * z_gamma + e_next * z_next
-
-
-def rhs_at(problem: OdeProblem, t: float, u: np.ndarray, part: Optional[ActivePartition],
-           frozen: Optional[Callable[[float], np.ndarray]], counter: Optional[EvalCounter]) -> np.ndarray:
-    """f of the (sub)system at (t, u), with ``part`` and ``frozen`` as in
-    :func:`step`: the z_n/h that :func:`step` takes as ``z_in``."""
-    if part is None or part.is_full:
-        return eval_subsystem_rhs(problem, t, u, None, ActivePartition.full(problem.m), counter)
-    return eval_subsystem_rhs(problem, t, u, frozen(t), part, counter)
-
-
-def jacobian_at(problem: OdeProblem, t: float, u: np.ndarray, part: Optional[ActivePartition],
-                frozen: Optional[Callable[[float], np.ndarray]],
-                counter: Optional[EvalCounter]) -> np.ndarray:
-    """J of the (sub)system at (t, u), with ``part`` and ``frozen`` as in
-    :func:`step`, in the storage :func:`newton_matrix` takes (band storage
-    when the problem declares a bandwidth)."""
-    if part is None:
-        part = ActivePartition.full(problem.m)
-    y = u
-    if frozen is not None and not part.is_full:
-        y = frozen(t)
-        y[part.indices] = u
-    return subsystem_jacobian(problem, t, y, part, counter)
 
 
 def newton_matrix(jac: np.ndarray, h: float, band: Optional[Tuple[int, int]]) -> LuFactorization:
@@ -242,13 +220,14 @@ def step(
     entries are only read.  ``frozen=None`` is the full system, evaluated on
     the state itself.  ``z_in`` is an already-scaled first-stage derivative
     h·f(t, u), which the integrator always passes (the FSAL hand-off from a
-    previous step, or h times :func:`rhs_at`); only a step called alone
+    previous step, or h times f at the step start); only a step called alone
     evaluates it here.
 
     Both implicit stages and the error estimate share ``lu``, the
     factorization of (I − d·h·J) for this h that :func:`newton_matrix`
     builds.  The step never evaluates J when ``lu`` is given; without it, J
-    is evaluated at the step start (:func:`jacobian_at`) and factored here.
+    is evaluated at the step start (:func:`~.ode_problem.subsystem_jacobian`)
+    and factored here.
     With ``tolerances`` Newton also stops by its contraction rate, weighted
     by 1/(τ_r|u|+τ_a).  Raises :class:`NewtonDivergence` when an iteration
     stalls, or :class:`NonFiniteOutput` or :class:`SingularMatrix`; the
@@ -280,8 +259,9 @@ def step(
         raise DimensionMismatch("z_in has the wrong shape")
 
     if lu is None:
-        lu = newton_matrix(jacobian_at(problem, t, u, part, frozen, counter), h,
-                           problem.bandwidth)
+        jac = subsystem_jacobian(problem, t, u, None if frozen is None else frozen(t), part,
+                                 counter)
+        lu = newton_matrix(jac, h, problem.bandwidth)
     elif lu.n != part.size:
         raise DimensionMismatch(f"factorization of order {lu.n} for {part.size} active components")
     weights = None if tolerances is None else 1.0 / tolerances.scale(u)

@@ -52,9 +52,11 @@ def test_every_hook_installs_and_every_layer_is_traced(tracing, tmp_path):
                  "dense_linalg.lu_solve", "interpolants.hermite_cubic", "controller"):
         assert calls.get(name, 0) > 0, name
     assert tracer.counts["trbdf2.newton_iters"] > 0
-    # every rhs and every factorization passes through a hooked binding: a
-    # local alias in the step or the Newton loop would hide calls from it
+    # every rhs, Jacobian and factorization passes through a hooked binding: a
+    # local alias in the step, the attempt loop or the Newton loop would hide
+    # calls from it
     assert calls["ode_problem.eval_subsystem_rhs"] == calls["benchmarks.rhs"]
+    assert calls["ode_problem.subsystem_jacobian"] == calls["benchmarks.jacobian"]
     assert calls["dense_linalg.lu_factor"] == calls["trbdf2.step_full"] + calls["trbdf2.step_sub"]
     # the Jacobian is carried across steps, not evaluated once per step
     steps = calls["trbdf2.step_full"] + calls["trbdf2.step_sub"]

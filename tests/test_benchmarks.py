@@ -21,7 +21,8 @@ from mrtrbdf2.reference import integrate_dop853, integrate_radau
 
 def dense_jacobian(problem, t, y):
     """The m×m Jacobian: analytic if the problem has one, else forward differences."""
-    return subsystem_jacobian(replace(problem, bandwidth=None), t, y, ActivePartition.full(problem.m))
+    return subsystem_jacobian(replace(problem, bandwidth=None), t, y, None,
+                              ActivePartition.full(problem.m))
 
 
 def test_gate_function_clamps():

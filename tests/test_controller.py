@@ -34,6 +34,11 @@ def test_controller_config_validation():
         ControllerConfig(nu=1.0)
     with pytest.raises(ValueError):
         ControllerConfig(h_min=1.0, h_max=0.5)
+    # NaN compares false both ways: accepted, it would lift the growth cap in
+    # next_step_size, since min() keeps its first argument against a NaN
+    for max_growth in (1.0, np.nan):
+        with pytest.raises(ValueError):
+            ControllerConfig(max_growth=max_growth)
 
 
 def test_normalized_errors_zero():

@@ -1,9 +1,12 @@
 """The latent halo: the only latent entries a subsystem evaluation reads.
 
 Micro steps reconstruct latent values on the halo alone, so the active rows
-of f (and the active block of its Jacobian) must not depend on any latent
-entry outside it, down to the last bit.
+of f (and the active block of its Jacobian, analytic or by finite
+differences) must not depend on any latent entry outside it, down to the last
+bit.  Both operations only read the context's latent entries.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,17 +22,19 @@ BANDED = {
     "reaction_diffusion": reaction_diffusion(n_cells=M).problem,
     "burgers_riemann": burgers_riemann(n_cells=M).problem,
 }
+# the same problems with their Jacobians formed by finite differences
+FD_TWINS = {f"{name}_fd": replace(p, jacobian=None) for name, p in BANDED.items()}
 
 states = st.lists(st.floats(-10.0, 10.0), min_size=M, max_size=M).map(np.array)
 active_sets = st.lists(st.integers(0, M - 1), min_size=1, max_size=M, unique=True).map(sorted)
 junk = st.floats(-1e6, 1e6)
 
 
-@pytest.mark.parametrize("name", sorted(BANDED))
+@pytest.mark.parametrize("name", sorted(BANDED) + sorted(FD_TWINS))
 @settings(max_examples=60, deadline=None)
 @given(y=states, active=active_sets, t=st.floats(0.0, 20.0), data=st.data())
 def test_rhs_and_jacobian_ignore_latent_entries_outside_the_halo(name, y, active, t, data):
-    problem = BANDED[name]
+    problem = {**BANDED, **FD_TWINS}[name]
     part = ActivePartition(M, active)
     outside = np.ones(M, dtype=bool)
     outside[part.indices] = False
@@ -38,10 +43,13 @@ def test_rhs_and_jacobian_ignore_latent_entries_outside_the_halo(name, y, active
     other[outside] = data.draw(st.lists(junk, min_size=int(outside.sum()),
                                         max_size=int(outside.sum())))
     x = y[part.indices]
+    latent = part.complement().indices
+    before = [ctx[latent].tobytes() for ctx in (y, other)]
     f, f_other = (eval_subsystem_rhs(problem, t, x, ctx, part) for ctx in (y, other))
     assert f.tobytes() == f_other.tobytes()
-    jac, jac_other = (subsystem_jacobian(problem, t, ctx, part) for ctx in (y, other))
+    jac, jac_other = (subsystem_jacobian(problem, t, x, ctx, part) for ctx in (y, other))
     assert jac.tobytes() == jac_other.tobytes()
+    assert [ctx[latent].tobytes() for ctx in (y, other)] == before
 
 
 @settings(max_examples=30, deadline=None)

@@ -153,11 +153,11 @@ def logged_steps(monkeypatch, fail_at=(), error=NewtonDivergence):
     the calls numbered in ``fail_at`` (from 1) raise ``error`` instead."""
     calls = []
     evaluated = []
-    original_step, original_jacobian_at = trbdf2.step, trbdf2.jacobian_at
+    original_step, original_jacobian = trbdf2.step, trbdf2.subsystem_jacobian
 
-    def jacobian_at(*args, **kwargs):
+    def subsystem_jacobian(*args, **kwargs):
         evaluated.append(args[1])
-        return original_jacobian_at(*args, **kwargs)
+        return original_jacobian(*args, **kwargs)
 
     def logged(*args, **kwargs):
         assert kwargs["lu"].n == args[2].size  # the driver always factors for the step
@@ -167,7 +167,7 @@ def logged_steps(monkeypatch, fail_at=(), error=NewtonDivergence):
             raise error("injected")
         return original_step(*args, **kwargs)
 
-    monkeypatch.setattr(trbdf2, "jacobian_at", jacobian_at)
+    monkeypatch.setattr(trbdf2, "subsystem_jacobian", subsystem_jacobian)
     monkeypatch.setattr(trbdf2, "step", logged)
     return calls
 
@@ -286,6 +286,25 @@ def test_f_is_evaluated_once_per_step_start(monkeypatch):
     assert trace.rejected_micro > 0
     assert any(k[0] is not None and n > 1 for k, n in starts.items())  # micro retries
     assert max(evaluated[k] for k in starts) == 1
+
+
+@pytest.mark.parametrize("run,start_calls", [(integrate_single_rate, 1), (integrate, 2)])
+def test_finite_difference_jacobian_takes_f_at_the_step_start_as_its_base(run, start_calls):
+    # With no analytic J, the first step's fresh finite-difference J reuses the
+    # f(0, y0) that the attempt loop evaluated: one call at (0, y0) for the
+    # macro step, and in multirate one more for the cohort's first micro step,
+    # whose latent context at t = 0 is y0 itself.
+    a = np.array([[-1.0, 0.5], [0.0, -100.0]])
+    y0 = np.array([1.0, 1.0])
+    calls = []
+
+    def rhs(t, y):
+        calls.append((t, y.tobytes()))
+        return a @ y
+
+    _, trace = run(OdeProblem(m=2, rhs=rhs), 0.0, 1.0, y0, default_cfg())
+    assert trace.rhs_calls == len(calls)
+    assert calls.count((0.0, y0.tobytes())) == start_calls
 
 
 def test_jacobian_is_carried_only_after_fast_newton_stages():

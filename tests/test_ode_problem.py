@@ -27,7 +27,7 @@ def eval_full_rhs(p, t, y, counter=None):
 
 
 def full_jacobian(p, t, y):
-    return subsystem_jacobian(p, t, y, ActivePartition.full(p.m))
+    return subsystem_jacobian(p, t, y, None, ActivePartition.full(p.m))
 
 
 def test_eval_rhs_linear():
@@ -67,7 +67,7 @@ def test_jacobian_analytic_checked():
         full_jacobian(wrong_shape, 0.0, np.ones(2))
     non_finite = OdeProblem(m=2, rhs=lambda t, y: y, jacobian=lambda t, y: np.full((2, 2), np.nan))
     with pytest.raises(NonFiniteOutput):
-        subsystem_jacobian(non_finite, 0.0, np.ones(2), ActivePartition(2, [1]))
+        subsystem_jacobian(non_finite, 0.0, np.ones(1), np.ones(2), ActivePartition(2, [1]))
 
 
 def test_jacobian_fd_linear():
@@ -166,9 +166,9 @@ def test_subsystem_counts_active_evals():
 def test_subsystem_jacobian_full_and_diag():
     a = np.diag([2.0, 3.0, 4.0])
     p = linear_problem(a)
-    full = subsystem_jacobian(p, 0.0, np.ones(3), ActivePartition.full(3))
+    full = subsystem_jacobian(p, 0.0, np.ones(3), None, ActivePartition.full(3))
     assert np.array_equal(full, a)
-    single = subsystem_jacobian(p, 0.0, np.ones(3), ActivePartition(3, [1]))
+    single = subsystem_jacobian(p, 0.0, np.ones(1), np.ones(3), ActivePartition(3, [1]))
     assert single.shape == (1, 1) and single[0, 0] == 3.0
 
 
@@ -177,7 +177,8 @@ def test_subsystem_jacobian_corner():
     a = rng.normal(size=(4, 4))
     p = linear_problem(a)
     part = ActivePartition(4, [0, 3])
-    got = subsystem_jacobian(p, 0.0, rng.normal(size=4), part)
+    y = rng.normal(size=4)
+    got = subsystem_jacobian(p, 0.0, y[part.indices], y, part)
     assert np.allclose(got, a[np.ix_([0, 3], [0, 3])], rtol=0, atol=1e-13)
 
 
@@ -186,7 +187,8 @@ def test_subsystem_jacobian_fd_matches_block():
     a = rng.normal(size=(5, 5))
     p = linear_problem_no_jac(a)
     part = ActivePartition(5, [1, 2, 4])
-    got = subsystem_jacobian(p, 0.0, rng.normal(size=5), part)
+    y = rng.normal(size=5)
+    got = subsystem_jacobian(p, 0.0, y[part.indices], y, part)
     assert np.max(np.abs(got - a[np.ix_([1, 2, 4], [1, 2, 4])])) <= 1e-6
 
 
@@ -216,7 +218,8 @@ def test_subsystem_jacobian_band_block_matches_dense_block(kl, ku):
     subsets = [[], list(range(m))]
     subsets += [sorted(rng.choice(m, size=k, replace=False)) for k in (1, 2, 5, 9) for _ in range(3)]
     for idx in subsets:
-        ab = subsystem_jacobian(p, 0.0, rng.normal(size=m), ActivePartition(m, idx))
+        y = rng.normal(size=m)
+        ab = subsystem_jacobian(p, 0.0, y[idx], y, ActivePartition(m, idx))
         n = len(idx)
         assert ab.shape == (kl + ku + 1, n)
         assert np.array_equal(from_band(ab, kl, ku), a[np.ix_(idx, idx)])
@@ -228,7 +231,8 @@ def test_subsystem_jacobian_band_block_from_finite_differences():
     rng = np.random.default_rng(23)
     a, p = banded_problem(rng, 7, 1, 1, analytic=False)
     for idx in ([], [0, 1, 2, 3, 4, 5, 6], [1, 2, 5]):
-        ab = subsystem_jacobian(p, 0.0, rng.normal(size=7), ActivePartition(7, idx))
+        y = rng.normal(size=7)
+        ab = subsystem_jacobian(p, 0.0, y[idx], y, ActivePartition(7, idx))
         assert ab.shape == (3, len(idx))
         assert np.max(np.abs(from_band(ab, 1, 1) - a[np.ix_(idx, idx)]), initial=0.0) <= 1e-6
 

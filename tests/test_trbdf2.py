@@ -6,7 +6,7 @@ import pytest
 
 from mrtrbdf2.controller import ToleranceSpec
 from mrtrbdf2.errors import DimensionMismatch, NewtonDivergence, PoleEncountered
-from mrtrbdf2.ode_problem import ActivePartition, EvalCounter, OdeProblem
+from mrtrbdf2.ode_problem import ActivePartition, EvalCounter, OdeProblem, subsystem_jacobian
 from mrtrbdf2.trbdf2 import (
     D_STAGE,
     EMBEDDED_WEIGHTS,
@@ -15,7 +15,6 @@ from mrtrbdf2.trbdf2 import (
     W_STAGE,
     WEIGHTS,
     NewtonConfig,
-    jacobian_at,
     newton_matrix,
     raw_error_estimate,
     stability_function,
@@ -23,6 +22,12 @@ from mrtrbdf2.trbdf2 import (
 )
 
 TIGHT = NewtonConfig(tolerance=1e-13, max_iterations=50)
+
+
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf, 0.0, -1e-8])
+def test_newton_tolerance_must_be_finite_and_positive(tolerance):
+    with pytest.raises(ValueError):
+        NewtonConfig(tolerance=tolerance)
 
 
 def scalar_problem(lam):
@@ -271,7 +276,8 @@ def test_rate_stop_stays_within_kappa_of_a_tight_solve():
     # solution, where a stop that weighs ‖Δz‖ by 0.1 in place of d lands 2.2κ
     # and 2.5κ off.
     h = 0.02
-    rough_lu = newton_matrix(2.0 * jacobian_at(p, 0.0, y, None, None, None), h, p.bandwidth)
+    full = ActivePartition.full(p.m)
+    rough_lu = newton_matrix(2.0 * subsystem_jacobian(p, 0.0, y, None, full), h, p.bandwidth)
     rough = step(p, 0.0, y, h, tolerances=tol, lu=rough_lu)
     stages = ((GAMMA * h, y + D_STAGE * rough.z_n, rough.z_gamma),
               (h, y + W_STAGE * (rough.z_n + rough.z_gamma), rough.z_next))
@@ -302,7 +308,7 @@ def test_given_factorization_is_used_and_no_jacobian_is_evaluated():
     # banded problem: J comes in band storage, and the factorization of a J
     # held by the caller evaluates none in the step while giving the step of
     # a fresh J at the same state
-    jac = jacobian_at(p, 0.0, y, None, None, counter)
+    jac = subsystem_jacobian(p, 0.0, y, None, ActivePartition.full(p.m), counter)
     assert jac.shape == (3, 8)
     again = step(p, 0.0, y, 0.01, counter=counter, lu=newton_matrix(jac, 0.01, p.bandwidth))
     assert counter.jacobian_evaluations == 2
