@@ -148,8 +148,9 @@ def eval_subsystem_rhs(
     Writes ``x`` in place into the length-m context ``frozen`` at the active
     indices, leaving its latent entries untouched, evaluates the full
     right-hand side there and gathers the active rows.  The full system is
-    evaluated on ``x`` itself, with ``frozen`` unused (it may be None), and
-    the right-hand side's own array is returned.  Costs |active| scalar
+    evaluated on ``x`` itself, with ``frozen`` unused (it may be None), and a
+    copy of the right-hand side's array is returned, so a right-hand side may
+    write every value into one reused buffer.  Costs |active| scalar
     evaluations and one rhs call on the counter.
     """
     if len(x) != part.size:
@@ -163,7 +164,7 @@ def eval_subsystem_rhs(
     if counter is not None:
         counter.scalar_evals += part.size
         counter.rhs_calls += 1
-    out = f if full else f[part.indices]
+    out = f.copy() if full else f[part.indices]
     if not np.logical_and.reduce(np.isfinite(out)):
         raise NonFiniteOutput(f"subsystem rhs produced non-finite values at t={t}")
     return out

@@ -227,7 +227,8 @@ def step(
     factorization of (I − d·h·J) for this h that :func:`newton_matrix`
     builds.  The step never evaluates J when ``lu`` is given; without it, J
     is evaluated at the step start (:func:`~.ode_problem.subsystem_jacobian`)
-    and factored here.
+    and factored here; a finite-difference J then takes the f evaluated for
+    z_n as its base value.
     With ``tolerances`` Newton also stops by its contraction rate, weighted
     by 1/(τ_r|u|+τ_a).  Raises :class:`NewtonDivergence` when an iteration
     stalls, or :class:`NonFiniteOutput` or :class:`SingularMatrix`; the
@@ -254,13 +255,18 @@ def step(
         def f_sub(ts: float, x: np.ndarray) -> np.ndarray:
             return eval_subsystem_rhs(problem, ts, x, frozen(ts), part, counter)
 
-    z_n = h * f_sub(t, u) if z_in is None else np.asarray(z_in, dtype=float)
+    f_n = None  # f at the step start, when evaluated here
+    if z_in is None:
+        f_n = f_sub(t, u)
+        z_n = h * f_n
+    else:
+        z_n = np.asarray(z_in, dtype=float)
     if z_n.shape != u.shape:
         raise DimensionMismatch("z_in has the wrong shape")
 
     if lu is None:
         jac = subsystem_jacobian(problem, t, u, None if frozen is None else frozen(t), part,
-                                 counter)
+                                 counter, f0=f_n)
         lu = newton_matrix(jac, h, problem.bandwidth)
     elif lu.n != part.size:
         raise DimensionMismatch(f"factorization of order {lu.n} for {part.size} active components")

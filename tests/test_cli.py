@@ -416,7 +416,7 @@ print(json.dumps({{"rc": rc, **loaded}}))
     assert _python(code) == {"rc": 0, "import": [], "run": [], "stability": []}
 
 
-LAPACK_ROUTINES = ("dgetrf", "dgetrs", "dgbtrf", "dgbtrs")
+LAPACK_ROUTINES = ("dgetrf", "dgetrs", "dgbtrf", "dgbtrs", "dgttrf", "dgttrs")
 SHARED_LAPACK = f"""
 import scipy.linalg.lapack
 from mrtrbdf2 import dense_linalg

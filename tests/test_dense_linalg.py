@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrtrbdf2 import dense_linalg
 from mrtrbdf2.dense_linalg import (band_storage, block, eigenvalues, from_diagonals, lu_factor,
                                    lu_solve, matrix_norm, spectral_radius)
 from mrtrbdf2.errors import DimensionMismatch, SingularMatrix
@@ -120,7 +121,7 @@ def test_two_norm_matches_gram_radius():
         assert n2 == pytest.approx(np.sqrt(spectral_radius(a.T @ a)), rel=1e-8)
 
 
-BANDS = [(1, 0), (0, 1), (1, 1), (2, 1)]
+BANDS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
 
 
 def to_band(a, kl, ku):
@@ -140,9 +141,28 @@ def random_banded(rng, n, kl, ku):
     return a
 
 
+@pytest.fixture
+def routines(monkeypatch):
+    """The names of the band LAPACK routines called, in call order."""
+    called = []
+    for name in ("dgbtrf", "dgbtrs", "dgttrf", "dgttrs"):
+        def spy(*args, _name=name, _fn=getattr(dense_linalg, name), **kwargs):
+            called.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dense_linalg, name, spy)
+    return called
+
+
+def tridiagonal(kl, ku, n):
+    """Whether a band LU of order n takes the tridiagonal routines: at most one
+    sub- and one super-diagonal, and n >= 3, the least order that SciPy's
+    dgttrf accepts."""
+    return kl <= 1 and ku <= 1 and n >= 3
+
+
 @pytest.mark.parametrize("kl,ku", BANDS)
-@pytest.mark.parametrize("n", [1, 2, 50])
-def test_band_lu_matches_dense_solve(kl, ku, n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 50])
+def test_band_lu_matches_dense_solve(kl, ku, n, routines):
     rng = np.random.default_rng(100 * n + 10 * kl + ku)
     a = random_banded(rng, n, kl, ku) + 3.0 * np.eye(n)
     ab = band_storage(a, (kl, ku))
@@ -157,6 +177,8 @@ def test_band_lu_matches_dense_solve(kl, ku, n):
     xx = lu_solve(f, bb)
     assert xx.shape == (n, 3)
     assert np.max(np.abs(xx - np.linalg.solve(a, bb))) <= 1e-12 * max(1.0, np.max(np.abs(xx)))
+    kernel = "dgtt" if tridiagonal(kl, ku, n) else "dgbt"
+    assert routines == [kernel + "rf", kernel + "rs", kernel + "rs"]
 
 
 @pytest.mark.parametrize("kl,ku", BANDS)
@@ -203,7 +225,7 @@ def test_band_lu_pivots_rows(kl, ku):
     a = random_banded(rng, n, kl, ku) + 4.0 * np.eye(n, k=-1)
     np.fill_diagonal(a, 0.0)
     f = lu_factor(band_storage(a, (kl, ku)), band=(kl, ku))
-    assert np.any(f.pivots != np.arange(n))
+    assert np.any(f.pivots != np.arange(1, n + 1))  # LAPACK's 1-based row interchanges
     b = rng.normal(size=n)
     x = lu_solve(f, b)
     assert np.max(np.abs(a @ x - b)) <= 1e-12 * np.max(np.abs(b))
@@ -232,6 +254,16 @@ def test_zero_pivot_in_a_column_too_small_to_scale_is_singular():
         lu_factor(band_storage(a, (1, 1)), band=(1, 1))
 
 
+def test_zero_pivot_in_a_column_too_small_to_scale_is_singular_on_the_tridiagonal_kernel(routines):
+    # the 3×3 twin of the case above, which is factored by dgttrf
+    a = np.array([[1.0, 1e-311, 0.0], [1.0, 1e-311, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SingularMatrix, match="column 1"):
+        lu_factor(a)
+    with pytest.raises(SingularMatrix, match="column 1"):
+        lu_factor(band_storage(a, (1, 1)), band=(1, 1))
+    assert routines == ["dgttrf"]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dense_lu_rejects_non_finite_matrix(bad):
     for i, j in ((0, 0), (2, 1), (1, 2)):
@@ -258,6 +290,32 @@ def test_band_lu_rejects_non_finite_and_bad_shapes():
     f = lu_factor(band_storage(np.eye(3), (1, 1)), band=(1, 1))
     with pytest.raises(DimensionMismatch):
         lu_solve(f, np.ones(4))
+
+
+@pytest.mark.parametrize("kl,ku", [(1, 0), (0, 1), (1, 1)])
+def test_tridiagonal_inputs_are_checked_before_the_kernel(kl, ku, routines):
+    # every check that a band LU makes runs in front of dgttrf, on n >= 3
+    n = 5
+    ab = band_storage(np.eye(n), (kl, ku))
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = ab.copy()
+        broken[ku, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_factor(broken, band=(kl, ku))
+    with pytest.raises(DimensionMismatch):
+        lu_factor(np.ones((kl + ku + 2, n)), band=(kl, ku))
+    with pytest.raises(DimensionMismatch):
+        lu_factor(np.ones((kl + ku + 1, n, 1)), band=(kl, ku))
+    assert routines == []
+    with pytest.raises(SingularMatrix, match="column 2"):
+        broken = ab.copy()
+        broken[:, 2] = 0.0  # a zero column
+        lu_factor(broken, band=(kl, ku))
+    f = lu_factor(ab, band=(kl, ku))
+    assert routines == ["dgttrf", "dgttrf"]
+    with pytest.raises(DimensionMismatch):
+        lu_solve(f, np.ones(n + 1))
+    assert routines == ["dgttrf", "dgttrf"]
 
 
 def random_stack(rng, shape, n):

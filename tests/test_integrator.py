@@ -307,6 +307,22 @@ def test_finite_difference_jacobian_takes_f_at_the_step_start_as_its_base(run, s
     assert calls.count((0.0, y0.tobytes())) == start_calls
 
 
+@pytest.mark.parametrize("run", [integrate_single_rate, integrate])
+def test_rhs_reusing_its_output_buffer_runs_as_one_returning_fresh_arrays(run):
+    # the driver keeps f values across calls (the FSAL hand-off, the
+    # finite-difference base), so none of them may be the rhs's own buffer
+    a = np.array([[-1.0, 0.5], [0.0, -100.0]])
+    y0 = np.array([1.0, 1.0])
+    buf = np.empty(2)
+    reused = OdeProblem(m=2, rhs=lambda t, y: np.matmul(a, y, out=buf))
+    fresh = OdeProblem(m=2, rhs=lambda t, y: a @ y)
+    traj, trace = run(reused, 0.0, 1.0, y0, default_cfg())
+    want_traj, want_trace = run(fresh, 0.0, 1.0, y0, default_cfg())
+    assert traj.times.tobytes() == want_traj.times.tobytes()
+    assert traj.states.tobytes() == want_traj.states.tobytes()
+    assert trace.summary() == want_trace.summary()
+
+
 def test_jacobian_is_carried_only_after_fast_newton_stages():
     cfg = default_cfg(tolerances=ToleranceSpec(1e-2, 1e-2), controller=ControllerConfig(delta=1.0))
     linear = linear_problem([[-2.0, 1.0], [0.0, -50.0]])

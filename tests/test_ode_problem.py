@@ -76,6 +76,23 @@ def test_jacobian_fd_linear():
     assert np.max(np.abs(jac - a)) <= 1e-6
 
 
+def buffer_problem(a):
+    """y' = A·y by an rhs that writes every value into one reused buffer."""
+    a = np.asarray(a, dtype=float)
+    buf = np.empty(a.shape[0])
+    return OdeProblem(m=a.shape[0], rhs=lambda t, y: np.matmul(a, y, out=buf))
+
+
+def test_full_rhs_value_is_not_the_rhs_buffer():
+    a = np.array([[-1.0, 0.5], [0.0, -100.0]])
+    p = buffer_problem(a)
+    f = eval_full_rhs(p, 0.0, np.array([1.0, 1.0]))
+    eval_full_rhs(p, 0.0, np.array([2.0, -3.0]))
+    assert np.array_equal(f, a @ np.array([1.0, 1.0]))
+    jac = full_jacobian(p, 0.0, np.array([1.0, 1.0]))
+    assert np.max(np.abs(jac - a)) <= 1e-6 * np.max(np.abs(a))
+
+
 def test_jacobian_fd_scalar_square():
     p = OdeProblem(m=1, rhs=lambda t, y: y * y)
     jac = full_jacobian(p, 0.0, np.array([3.0]))

@@ -182,10 +182,11 @@ def test_modified_estimate_solves_shifted_system():
     assert np.max(np.abs(lhs - raw)) / denom <= 1e-10
 
 
-@pytest.mark.parametrize("active", [None, [2], [0, 3, 4, 7]])
+@pytest.mark.parametrize("active", [None, [2], [3, 4], [2, 3, 4], [0, 3, 4, 7], [1, 2, 3, 5, 6]])
 def test_banded_newton_matrix_matches_dense(active):
     # a stiff nonlinear tridiagonal system: the banded factorization of
-    # I - d*h*J must give the step of the dense one, full and on subsystems
+    # I - d*h*J must give the step of the dense one, full and on subsystems,
+    # by the band routines below order 3 and the tridiagonal ones from it on
     m = 8
     lap = np.diag(np.full(m, -2.0)) + np.eye(m, k=1) + np.eye(m, k=-1)
 
@@ -207,6 +208,32 @@ def test_banded_newton_matrix_matches_dense(active):
     pairs["eps_raw"] = (eps_raw(ref), eps_raw(got))
     for name, (a, b) in pairs.items():
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a))), name
+
+
+def test_step_called_alone_evaluates_f_once_at_its_start():
+    # with no analytic J, the f evaluated for z_n is the finite-difference base
+    a = np.array([[-1.0, 0.5], [0.0, -100.0]])
+    y0 = np.array([1.0, 1.0])
+    h = 1e-2
+    calls = []
+
+    def rhs(t, y):
+        calls.append((t, y.tobytes()))
+        return a @ y
+
+    p = OdeProblem(m=2, rhs=rhs)
+    counter = EvalCounter()
+    res = step(p, 0.0, y0, h, counter=counter)
+    assert len(calls) == counter.rhs_calls == 7
+    assert calls.count((0.0, y0.tobytes())) == 1
+    # the same step from z_n and J evaluated apart, as before the base was shared
+    full = ActivePartition.full(2)
+    z_n = h * rhs(0.0, y0)
+    lu = newton_matrix(subsystem_jacobian(p, 0.0, y0, None, full), h, None)
+    apart = step(p, 0.0, y0, h, z_in=z_n, lu=lu)
+    for name in ("u_gamma", "u_next", "z_n", "z_gamma", "z_next", "eps_mod"):
+        assert getattr(res, name).tobytes() == getattr(apart, name).tobytes(), name
+    assert res.newton_iterations == apart.newton_iterations
 
 
 def test_fsal_bitwise_handoff():
