@@ -3,7 +3,8 @@ print their sha256 lines and those of the runs' summary metrics.
 
     PYTHONPATH=src python scripts/artifact_hashes.py OUT_DIR
 
-Runs ``run`` on every preset in both modes (single and multi) and
+Runs ``run`` on every preset in both modes (single and multi), once more in
+multirate with the linear latent interpolant (``--interp linear``), and
 ``stability --kind both --points 400`` on every model system, each into its
 own directory under OUT_DIR.  Then it prints one ``<sha256>  <path>`` line per
 CSV file written, sorted by path, with paths relative to OUT_DIR, and after
@@ -34,6 +35,9 @@ def commands(out_dir: Path):
         for mode in ("single", "multi"):
             sub = f"run/{preset}-{mode}"
             yield sub, ["run", "--preset", preset, "--mode", mode, "--out-dir", str(out_dir / sub)]
+        sub = f"run/{preset}-multi-linear"
+        yield sub, ["run", "--preset", preset, "--mode", "multi", "--interp", "linear",
+                    "--out-dir", str(out_dir / sub)]
     for system in MODEL_SYSTEMS:
         sub = f"stability/{system}"
         yield sub, ["stability", "--system", system, "--kind", "both", "--points", "400",

@@ -277,25 +277,23 @@ def lu_solve(f: LuFactorization, b) -> np.ndarray:
     """Solve A x = b given the factorization of A.
 
     ``b`` may be a vector or carry multiple right-hand sides as columns.  For
-    a stack of factorizations (..., n, n), ``b`` has shape (..., n) or
+    a stack of dense factorizations (..., n, n), ``b`` has shape (..., n) or
     (..., n, k) with the same stack shape, and each system is solved with
-    its own matrix.
+    its own matrix; a banded factorization has no stack.
     """
     rhs = np.asarray(b, dtype=float)
-    if f.band is not None:
-        if rhs.shape[0] != f.n:
-            raise DimensionMismatch(f"rhs length {rhs.shape[0]} != matrix size {f.n}")
-        if isinstance(f.factors, tuple):
-            x, _ = dgttrs(*f.factors, f.pivots, rhs)
-        else:
-            x, _ = dgbtrs(f.factors, f.band[0], f.band[1], rhs, f.pivots)
-        return x
-    stack = f.factors.shape[:-2]
+    stack = () if f.band is not None else f.factors.shape[:-2]
     cut = len(stack)
     if rhs.shape[:cut] != stack or rhs.ndim - cut not in (1, 2) or rhs.shape[cut] != f.n:
         raise DimensionMismatch(
             f"rhs of shape {rhs.shape} does not fit {stack + (f.n, f.n)} factorizations"
         )
+    if f.band is not None:
+        if isinstance(f.factors, tuple):
+            x, _ = dgttrs(*f.factors, f.pivots, rhs)
+        else:
+            x, _ = dgbtrs(f.factors, f.band[0], f.band[1], rhs, f.pivots)
+        return x
     x = _column_major(rhs.shape) if rhs.ndim - cut == 2 else np.empty_like(rhs)
     for k in np.ndindex(stack):
         x[k], _ = dgetrs(f.factors[k], f.pivots[k], rhs[k])

@@ -227,8 +227,8 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
              part: Optional[ActivePartition] = None, frozen=None) -> tuple:
     """Retry one step from (t, x) until it passes, for macro and micro steps alike.
 
-    An h within 1e-9 of ``span`` becomes ``span``, so the step lands exactly.
-    It passes when every component outside the refinement set
+    An h beyond ``span`` becomes ``span``, so the step lands exactly.  It
+    passes when every component outside the refinement set
     {η > δ·max η} ∩ {η > 1} meets its tolerance; δ = 1 flags nothing.
     ``fsal`` is a macro step's (z, h_prev) hand-off, ``part``/``frozen`` a
     micro step's cohort and latent context; without a usable one, f(t, x)
@@ -256,8 +256,7 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
         if counter.step_attempts >= cfg.max_steps:
             raise SafetyCapExceeded(f"step budget of {cfg.max_steps} attempts spent at t={t}")
         counter.step_attempts += 1
-        if h >= span * (1.0 - 1e-9):
-            h = span
+        h = min(h, span)
         ratio = math.inf if fsal is None else h / fsal[1]
         if not math.isfinite(ratio):  # none, or overflows after a landing near 5e-324
             # f(t, x) serves every attempt; a non-finite one raises here, whatever h
@@ -319,6 +318,7 @@ def macro_step(
 ) -> MacroOutcome:
     """One macro interval: tentative full step, partitioning, micro refinement.
 
+    ``h`` is attempted as given; :func:`integrate` keeps it within ``h_max``.
     ``fsal`` carries (z, h_prev) with z = h_prev·f(t, u) from the previous
     step; it is rescaled to the attempted step size.  ``jacobian`` is the
     full-system Jacobian carried from an earlier step (None evaluates one).
@@ -331,9 +331,6 @@ def macro_step(
     u = np.asarray(u, dtype=float)
     if counter is None:
         counter = EvalCounter()
-    # A caller-truncated step (landing on a sample time) may sit below h_min;
-    # the floor only applies to rejection retries.
-    h = min(h, cfg.controller.h_max)
     res, h, eta, refine, rejections, jacobian, carry, h_prop = _attempt(
         problem, t, u, h, h, cfg.controller.delta, jacobian, cfg, counter, fsal=fsal)
     active0 = np.empty(0, dtype=np.intp) if refine is None else np.flatnonzero(refine)

@@ -45,14 +45,15 @@ FD_EPS = float(np.sqrt(np.finfo(float).eps))
 class ActivePartition:
     """Sorted index subset of {0..m-1} naming the active components.
 
-    Immutable by convention.  The complement is the latent set.  Empty and
+    Immutable: it holds a read-only copy of its indices.  The complement is
+    the latent set.  Empty and
     full partitions are both valid.
     """
 
     __slots__ = ("m", "indices", "size")
 
     def __init__(self, m: int, indices: Sequence[int] | np.ndarray):
-        idx = np.asarray(indices, dtype=np.intp).ravel()
+        idx = np.array(indices, dtype=np.intp).ravel()
         if m < 1:
             raise DimensionMismatch(f"total dimension must be >= 1, got {m}")
         if idx.size:

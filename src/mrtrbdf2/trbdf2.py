@@ -14,10 +14,8 @@ caller passes in.  The caller builds it with
 :func:`~.ode_problem.subsystem_jacobian` and :func:`newton_matrix`, and so
 decides which J a step uses: the integrator carries J across steps and
 refactors it with the current h, as in Hosea & Shampine's ode23tb.  The
-integrator also always passes the first stage derivative z_n, from the
-previous step or from :func:`~.ode_problem.eval_subsystem_rhs` at the step
-start.  Called alone, :func:`step` evaluates z_n and J at the step start and
-factors J itself.
+caller also passes the first stage derivative z_n, from the previous step or
+from :func:`~.ode_problem.eval_subsystem_rhs` at the step start.
 Given the caller's tolerances, Newton stops as soon as its contraction rate
 predicts a stage error well below them (Hairer & Wanner, *Solving ODEs II*,
 §IV.8); see :data:`NEWTON_KAPPA`.
@@ -43,7 +41,9 @@ from .ode_problem import (
     EvalCounter,
     OdeProblem,
     eval_subsystem_rhs,
-    subsystem_jacobian,
+    # not called here: the attempt loop evaluates J through this binding,
+    # which perfbench's tracer wraps
+    subsystem_jacobian,  # noqa: F401
 )
 
 GAMMA = 2.0 - math.sqrt(2.0)
@@ -203,10 +203,11 @@ def step(
     h: float,
     part: Optional[ActivePartition] = None,
     frozen: Optional[Callable[[float], np.ndarray]] = None,
-    z_in: Optional[np.ndarray] = None,
+    *,
+    z_in: np.ndarray,
+    lu: LuFactorization,
     cfg: Optional[NewtonConfig] = None,
     counter: Optional[EvalCounter] = None,
-    lu: Optional[LuFactorization] = None,
     tolerances: Optional[ToleranceSpec] = None,
 ) -> StepResult:
     """Advance the (sub)system one TR-BDF2 step of size h from (t, u).
@@ -215,20 +216,17 @@ def step(
     ``frozen`` then maps a stage time to the length-m context carrying the
     latent values (so latent components reconstructed by interpolation are
     sampled at each stage time instead of being held fixed across the step,
-    which would degrade the step to first order).  Every rhs call and a fresh
-    Jacobian write the active state into that context in place; its latent
-    entries are only read.  ``frozen=None`` is the full system, evaluated on
-    the state itself.  ``z_in`` is an already-scaled first-stage derivative
-    h·f(t, u), which the integrator always passes (the FSAL hand-off from a
-    previous step, or h times f at the step start); only a step called alone
-    evaluates it here.
+    which would degrade the step to first order).  Every rhs call writes the
+    active state into that context in place; its latent entries are only
+    read.  ``frozen=None`` is the full system, evaluated on the state itself.
+    ``z_in`` is the already-scaled first-stage derivative h·f(t, u): the FSAL
+    hand-off from a previous step, or h times f at the step start.
 
     Both implicit stages and the error estimate share ``lu``, the
     factorization of (I − d·h·J) for this h that :func:`newton_matrix`
-    builds.  The step never evaluates J when ``lu`` is given; without it, J
-    is evaluated at the step start (:func:`~.ode_problem.subsystem_jacobian`)
-    and factored here; a finite-difference J then takes the f evaluated for
-    z_n as its base value.
+    builds from a J the caller evaluated
+    (:func:`~.ode_problem.subsystem_jacobian`); the step evaluates no J and
+    factors nothing.
     With ``tolerances`` Newton also stops by its contraction rate, weighted
     by 1/(τ_r|u|+τ_a).  Raises :class:`NewtonDivergence` when an iteration
     stalls, or :class:`NonFiniteOutput` or :class:`SingularMatrix`; the
@@ -255,20 +253,10 @@ def step(
         def f_sub(ts: float, x: np.ndarray) -> np.ndarray:
             return eval_subsystem_rhs(problem, ts, x, frozen(ts), part, counter)
 
-    f_n = None  # f at the step start, when evaluated here
-    if z_in is None:
-        f_n = f_sub(t, u)
-        z_n = h * f_n
-    else:
-        z_n = np.asarray(z_in, dtype=float)
+    z_n = np.asarray(z_in, dtype=float)
     if z_n.shape != u.shape:
         raise DimensionMismatch("z_in has the wrong shape")
-
-    if lu is None:
-        jac = subsystem_jacobian(problem, t, u, None if frozen is None else frozen(t), part,
-                                 counter, f0=f_n)
-        lu = newton_matrix(jac, h, problem.bandwidth)
-    elif lu.n != part.size:
+    if lu.n != part.size:
         raise DimensionMismatch(f"factorization of order {lu.n} for {part.size} active components")
     weights = None if tolerances is None else 1.0 / tolerances.scale(u)
 

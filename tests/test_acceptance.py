@@ -35,7 +35,8 @@ from mrtrbdf2.stability import (
     norm_sweep,
     single_rate_amplification,
 )
-from mrtrbdf2.trbdf2 import GAMMA, NewtonConfig, stability_function, step
+from mrtrbdf2.trbdf2 import GAMMA, NewtonConfig, stability_function
+from stepping import lone_step
 
 
 def report(tag, ok, detail):
@@ -120,7 +121,7 @@ def test_criterion_01_single_rate_order():
         n = round(2.0 / h)
         u, z = np.array([1.0]), None
         for k in range(n):
-            res = step(p, k * h, u, h, z_in=z, cfg=cfg)
+            res = lone_step(p, k * h, u, h, z_in=z, cfg=cfg)
             u, z = res.u_next, res.z_next
         return abs(u[0] - exact(2.0))
 

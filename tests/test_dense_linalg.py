@@ -56,9 +56,15 @@ def test_lu_singular_detection():
 def test_lu_dimension_checks():
     with pytest.raises(DimensionMismatch):
         lu_factor(np.ones((2, 3)))
-    f = lu_factor(np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        lu_solve(f, np.ones(4))
+    # dense, tridiagonal (n >= 3) and general band factorizations check the
+    # rhs shape alike: a vector or columns of length n, with no stack
+    n = 5
+    for band in (None, (1, 1), (2, 1)):
+        f = lu_factor(np.eye(n) if band is None else band_storage(np.eye(n), band), band=band)
+        for bad in (np.ones(n + 1), np.ones((n + 1, 2)), np.array(1.0), np.ones((n, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                lu_solve(f, bad)
+        assert lu_solve(f, np.ones((n, 2))).shape == (n, 2)
 
 
 def test_matrix_norm_identity():

@@ -27,6 +27,7 @@ from mrtrbdf2.integrator import (
     macro_step,
 )
 from mrtrbdf2.ode_problem import ActivePartition, EvalCounter, OdeProblem, latent_halo
+from stepping import lone_step
 
 
 def linear_problem(a):
@@ -86,7 +87,7 @@ def test_macro_step_scalar_delta_one_is_single_rate():
     cfg = default_cfg(controller=ControllerConfig(delta=1.0))
     out = macro_step(p, 0.0, np.array([1.0]), 1e-2, cfg)
     assert out.record.active0.size == 0
-    tentative = trbdf2.step(p, 0.0, np.array([1.0]), out.record.h, cfg=cfg.newton)
+    tentative = lone_step(p, 0.0, np.array([1.0]), out.record.h, cfg=cfg.newton)
     assert np.array_equal(out.state, tentative.u_next)
 
 
@@ -101,7 +102,7 @@ def test_latent_components_keep_tentative_values():
     p = linear_problem(np.diag([-1.0, -1000.0]))
     cfg = default_cfg(tolerances=ToleranceSpec(1e-6, 1e-6), h0=1e-2)
     out = macro_step(p, 0.0, np.array([1.0, 1.0]), 1e-2, cfg)
-    tentative = trbdf2.step(p, 0.0, np.array([1.0, 1.0]), out.record.h, cfg=cfg.newton)
+    tentative = lone_step(p, 0.0, np.array([1.0, 1.0]), out.record.h, cfg=cfg.newton)
     mask = np.zeros(2, dtype=bool)
     mask[out.record.active0] = True
     assert np.array_equal(out.state[~mask], tentative.u_next[~mask])
@@ -142,7 +143,7 @@ def test_all_active_refinement_matches_micro_grid_replay():
     x = u0.copy()
     part = ActivePartition.full(3)
     for mic in rec.micro:
-        res = trbdf2.step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton)
+        res = lone_step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton)
         x = res.u_next
     assert np.array_equal(x, out.state)
 
@@ -353,8 +354,8 @@ def test_error_test_rejection_on_a_fresh_jacobian_evaluates_it_once():
     # every attempt starts at (0, 1), so all three share one evaluation
     assert counter.jacobian_evaluations == 1
     assert counter.rejections == {"error_test": 2}
-    fresh = trbdf2.step(p, 0.0, np.array([1.0]), out.record.h, cfg=cfg.newton,
-                        tolerances=cfg.tolerances)
+    fresh = lone_step(p, 0.0, np.array([1.0]), out.record.h, cfg=cfg.newton,
+                      tolerances=cfg.tolerances)
     assert out.state.tobytes() == fresh.u_next.tobytes()
 
 

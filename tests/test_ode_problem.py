@@ -117,6 +117,14 @@ def test_partition_basics():
         ActivePartition(3, [5])
 
 
+def test_partition_keeps_its_own_indices():
+    # a sorted intp array would pass the checks as is: the partition copies it
+    source = np.array([1, 2], dtype=np.intp)
+    part = ActivePartition(4, source)
+    source[0] = 7
+    assert part.indices.tolist() == [1, 2]
+
+
 def test_subsystem_call_writes_only_the_active_entries_of_its_context():
     seen = []
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mrtrbdf2 import trbdf2
 from mrtrbdf2.controller import ToleranceSpec
 from mrtrbdf2.errors import DimensionMismatch, NewtonDivergence, PoleEncountered
 from mrtrbdf2.ode_problem import ActivePartition, EvalCounter, OdeProblem, subsystem_jacobian
@@ -20,6 +21,7 @@ from mrtrbdf2.trbdf2 import (
     stability_function,
     step,
 )
+from stepping import lone_step
 
 TIGHT = NewtonConfig(tolerance=1e-13, max_iterations=50)
 
@@ -64,7 +66,7 @@ def test_coefficients_sum_to_one():
 def test_step_zero_rhs():
     p = OdeProblem(m=2, rhs=lambda t, y: np.zeros(2), jacobian=lambda t, y: np.zeros((2, 2)))
     u = np.array([1.5, -2.0])
-    res = step(p, 0.0, u, 0.7)
+    res = lone_step(p, 0.0, u, 0.7)
     assert np.array_equal(res.u_gamma, u)
     assert np.array_equal(res.u_next, u)
     assert np.all(eps_raw(res) == 0.0)
@@ -72,7 +74,7 @@ def test_step_zero_rhs():
 
 
 def test_scalar_step_matches_stability_function():
-    res = step(scalar_problem(-1.0), 0.0, np.array([1.0]), 0.1, cfg=TIGHT)
+    res = lone_step(scalar_problem(-1.0), 0.0, np.array([1.0]), 0.1, cfg=TIGHT)
     expected = stability_function(-0.1).real
     assert abs(res.u_next[0] - expected) <= 1e-10
 
@@ -85,7 +87,7 @@ def test_fixed_step_second_order():
         u = np.array([1.0])
         z = None
         for k in range(n):
-            res = step(p, k * h, u, h, z_in=z, cfg=TIGHT)
+            res = lone_step(p, k * h, u, h, z_in=z, cfg=TIGHT)
             u, z = res.u_next, res.z_next
         return abs(u[0] - math.exp(-1.0))
 
@@ -140,7 +142,7 @@ def test_raw_error_estimate_first_weight():
 def test_raw_error_estimate_matches_embedded_difference():
     # quadrature check: for y' = lam*y the estimate equals (Rhat - R)(h*lam)*u0
     lam, h, u0 = -2.0, 0.37, 1.3
-    res = step(scalar_problem(lam), 0.0, np.array([u0]), h, cfg=TIGHT)
+    res = lone_step(scalar_problem(lam), 0.0, np.array([u0]), h, cfg=TIGHT)
     z = h * lam
     expected = (tableau_amplification(z, EMBEDDED_WEIGHTS) - tableau_amplification(z, WEIGHTS)) * u0
     assert eps_raw(res)[0] == pytest.approx(expected, rel=1e-9)
@@ -150,21 +152,21 @@ def test_modified_estimate_identity_jacobian_zero():
     # f depends on t only, so J = 0 and the modified estimate is the raw one
     p = OdeProblem(m=2, rhs=lambda t, y: np.array([np.cos(3.0 * t), t * t]),
                    jacobian=lambda t, y: np.zeros((2, 2)))
-    res = step(p, 0.1, np.array([0.25, -0.5]), 0.3, cfg=TIGHT)
+    res = lone_step(p, 0.1, np.array([0.25, -0.5]), 0.3, cfg=TIGHT)
     raw = eps_raw(res)
     assert np.all(raw != 0.0)
     assert np.allclose(res.eps_mod, raw, rtol=0, atol=1e-15)
 
 
 def test_modified_estimate_stiff_scalar():
-    res = step(scalar_problem(-1e6), 0.0, np.array([1.0]), 1.0)
+    res = lone_step(scalar_problem(-1e6), 0.0, np.array([1.0]), 1.0)
     raw = eps_raw(res)[0]
     assert res.eps_mod[0] == pytest.approx(raw / (1.0 + D_STAGE * 1e6), rel=1e-12)
 
 
 def test_modified_estimate_small_step_limit():
     for h in (1e-4, 1e-6):
-        res = step(scalar_problem(-3.0), 0.0, np.array([0.7]), h, cfg=TIGHT)
+        res = lone_step(scalar_problem(-3.0), 0.0, np.array([0.7]), h, cfg=TIGHT)
         raw = eps_raw(res)[0]
         assert abs(res.eps_mod[0] - raw) <= 2.0 * D_STAGE * h * 3.0 * abs(raw)
 
@@ -175,7 +177,7 @@ def test_modified_estimate_solves_shifted_system():
     a = rng.normal(size=(4, 4))
     p = OdeProblem(m=4, rhs=lambda t, y: a @ y, jacobian=lambda t, y: a)
     h = 0.3
-    res = step(p, 0.0, rng.normal(size=4), h, cfg=TIGHT)
+    res = lone_step(p, 0.0, rng.normal(size=4), h, cfg=TIGHT)
     lhs = (np.eye(4) - D_STAGE * h * a) @ res.eps_mod
     raw = eps_raw(res)
     denom = max(np.max(np.abs(raw)), 1e-300)
@@ -202,52 +204,26 @@ def test_banded_newton_matrix_matches_dense(active):
     part = None if active is None else ActivePartition(m, active)
     u = y if part is None else y[part.indices]
     cfg = NewtonConfig(tolerance=1e-12, max_iterations=50)
-    ref = step(dense, 0.0, u, 0.05, part=part, frozen=lambda ts: y, cfg=cfg)
-    got = step(banded, 0.0, u, 0.05, part=part, frozen=lambda ts: y, cfg=cfg)
+    ref = lone_step(dense, 0.0, u, 0.05, part=part, frozen=lambda ts: y, cfg=cfg)
+    got = lone_step(banded, 0.0, u, 0.05, part=part, frozen=lambda ts: y, cfg=cfg)
     pairs = {name: (getattr(ref, name), getattr(got, name)) for name in ("u_gamma", "u_next", "eps_mod")}
     pairs["eps_raw"] = (eps_raw(ref), eps_raw(got))
     for name, (a, b) in pairs.items():
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a))), name
 
 
-def test_step_called_alone_evaluates_f_once_at_its_start():
-    # with no analytic J, the f evaluated for z_n is the finite-difference base
-    a = np.array([[-1.0, 0.5], [0.0, -100.0]])
-    y0 = np.array([1.0, 1.0])
-    h = 1e-2
-    calls = []
-
-    def rhs(t, y):
-        calls.append((t, y.tobytes()))
-        return a @ y
-
-    p = OdeProblem(m=2, rhs=rhs)
-    counter = EvalCounter()
-    res = step(p, 0.0, y0, h, counter=counter)
-    assert len(calls) == counter.rhs_calls == 7
-    assert calls.count((0.0, y0.tobytes())) == 1
-    # the same step from z_n and J evaluated apart, as before the base was shared
-    full = ActivePartition.full(2)
-    z_n = h * rhs(0.0, y0)
-    lu = newton_matrix(subsystem_jacobian(p, 0.0, y0, None, full), h, None)
-    apart = step(p, 0.0, y0, h, z_in=z_n, lu=lu)
-    for name in ("u_gamma", "u_next", "z_n", "z_gamma", "z_next", "eps_mod"):
-        assert getattr(res, name).tobytes() == getattr(apart, name).tobytes(), name
-    assert res.newton_iterations == apart.newton_iterations
-
-
 def test_fsal_bitwise_handoff():
     p = scalar_problem(-0.5)
     h = 0.2
-    res1 = step(p, 0.0, np.array([1.0]), h, cfg=TIGHT)
-    res2 = step(p, h, res1.u_next, h, z_in=res1.z_next, cfg=TIGHT)
+    res1 = lone_step(p, 0.0, np.array([1.0]), h, cfg=TIGHT)
+    res2 = lone_step(p, h, res1.u_next, h, z_in=res1.z_next, cfg=TIGHT)
     assert np.array_equal(res2.z_n, res1.z_next)
 
 
 def test_newton_two_iterations_on_linear():
     a = np.array([[-1.0, 0.3], [0.0, -2.0]])
     p = OdeProblem(m=2, rhs=lambda t, y: a @ y, jacobian=lambda t, y: a)
-    res = step(p, 0.0, np.array([1.0, -1.0]), 0.25)
+    res = lone_step(p, 0.0, np.array([1.0, -1.0]), 0.25)
     assert res.newton_iterations[0] <= 2
     assert res.newton_iterations[1] <= 2
 
@@ -255,7 +231,7 @@ def test_newton_two_iterations_on_linear():
 def test_modified_estimate_tames_stiff_raw():
     ratios = []
     for lam in (-1e2, -1e4, -1e6):
-        res = step(scalar_problem(lam), 0.0, np.array([1.0]), 1.0)
+        res = lone_step(scalar_problem(lam), 0.0, np.array([1.0]), 1.0)
         ratios.append(abs(res.eps_mod[0]) / abs(eps_raw(res)[0]))
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] <= 1e-4
@@ -270,7 +246,8 @@ def test_newton_divergence_raises():
         jacobian=lambda t, y: np.array([[-1.0]]),
     )
     with pytest.raises(NewtonDivergence):
-        step(p, 0.0, np.array([5.0]), 1.0, cfg=NewtonConfig(tolerance=1e-12, max_iterations=8))
+        lone_step(p, 0.0, np.array([5.0]), 1.0,
+                  cfg=NewtonConfig(tolerance=1e-12, max_iterations=8))
 
 
 def stiff_cubic_chain(m=8, stiffness=100.0, cubic=5.0):
@@ -289,9 +266,9 @@ def test_rate_stop_stays_within_kappa_of_a_tight_solve():
     y = np.sin(np.pi * np.arange(1, 9) / 9.0)
     tol = ToleranceSpec(1e-4, 1e-6)
     h = 0.01
-    tight = step(p, 0.0, y, h, cfg=NewtonConfig(tolerance=1e-14, max_iterations=100))
-    floor_only = step(p, 0.0, y, h)
-    rate = step(p, 0.0, y, h, tolerances=tol)
+    tight = lone_step(p, 0.0, y, h, cfg=NewtonConfig(tolerance=1e-14, max_iterations=100))
+    floor_only = lone_step(p, 0.0, y, h)
+    rate = lone_step(p, 0.0, y, h, tolerances=tol)
     # the rate test stops each stage before the increment floor does
     assert all(r < f for r, f in zip(rate.newton_iterations, floor_only.newton_iterations))
     weights = 1.0 / tol.scale(y)
@@ -305,7 +282,7 @@ def test_rate_stop_stays_within_kappa_of_a_tight_solve():
     h = 0.02
     full = ActivePartition.full(p.m)
     rough_lu = newton_matrix(2.0 * subsystem_jacobian(p, 0.0, y, None, full), h, p.bandwidth)
-    rough = step(p, 0.0, y, h, tolerances=tol, lu=rough_lu)
+    rough = lone_step(p, 0.0, y, h, tolerances=tol, lu=rough_lu)
     stages = ((GAMMA * h, y + D_STAGE * rough.z_n, rough.z_gamma),
               (h, y + W_STAGE * (rough.z_n + rough.z_gamma), rough.z_next))
     for t_stage, base, z in stages:
@@ -325,20 +302,31 @@ def exact_stage_solution(p, t, base, z, h):
     raise AssertionError("reference Newton did not converge")
 
 
-def test_given_factorization_is_used_and_no_jacobian_is_evaluated():
+def test_given_factorization_is_used_and_no_jacobian_is_evaluated(monkeypatch):
+    # the step solves on the z_n and factorization it is given: it evaluates
+    # f only in its Newton iterations, no J, and factors nothing
     p = stiff_cubic_chain()
     y = np.sin(np.pi * np.arange(1, 9) / 9.0)
-    counter = EvalCounter()
-    first = step(p, 0.0, y, 0.01, counter=counter)
-    assert counter.jacobian_evaluations == 1
-    assert counter.newton_iterations == sum(first.newton_iterations)
-    # banded problem: J comes in band storage, and the factorization of a J
-    # held by the caller evaluates none in the step while giving the step of
-    # a fresh J at the same state
-    jac = subsystem_jacobian(p, 0.0, y, None, ActivePartition.full(p.m), counter)
+    h = 0.01
+    # banded problem: J comes in band storage
+    jac = subsystem_jacobian(p, 0.0, y, None, ActivePartition.full(p.m))
     assert jac.shape == (3, 8)
-    again = step(p, 0.0, y, 0.01, counter=counter, lu=newton_matrix(jac, 0.01, p.bandwidth))
-    assert counter.jacobian_evaluations == 2
-    assert again.u_next.tobytes() == first.u_next.tobytes()
+    z_n, lu = h * p.rhs(0.0, y), newton_matrix(jac, h, p.bandwidth)
+    short_lu = newton_matrix(jac[:, :4], h, p.bandwidth)
+    prepared = lone_step(p, 0.0, y, h)
+
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("the step factored a matrix")
+
+    monkeypatch.setattr(trbdf2, "lu_factor", no_factoring)
+    counter = EvalCounter()
+    res = step(p, 0.0, y, h, z_in=z_n, lu=lu, counter=counter)
+    assert counter.rhs_calls == counter.newton_iterations == sum(res.newton_iterations)
+    assert counter.jacobian_evaluations == 0
+    assert res.u_next.tobytes() == prepared.u_next.tobytes()
+    with pytest.raises(TypeError):
+        step(p, 0.0, y, h, lu=lu)
+    with pytest.raises(TypeError):
+        step(p, 0.0, y, h, z_in=z_n)
     with pytest.raises(DimensionMismatch):
-        step(p, 0.0, y, 0.01, lu=newton_matrix(jac[:, :4], 0.01, p.bandwidth))
+        step(p, 0.0, y, h, z_in=z_n, lu=short_lu)
