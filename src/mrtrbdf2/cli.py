@@ -316,14 +316,15 @@ def cmd_compare(args, argv: Sequence[str]) -> int:
             rows.append((tol, mode, err, s["workload"], s["scalar_function_evaluations"],
                          s["effective_scalar_evals"], s["accepted_macro_steps"],
                          s["accepted_micro_steps"], s["total_accepted_steps"],
-                         s["rejected_macro_steps"] + s["rejected_micro_steps"], wall))
+                         s["rejected_macro_steps"] + s["rejected_micro_steps"],
+                         s["newton_iterations"], s["jacobian_evaluations"], wall))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "compare.csv",
                ["tolerance", "mode", "error_vs_reference", "workload", "scalar_evals",
                 "effective_scalar_evals", "macro_steps", "micro_steps", "total_steps",
-                "rejected_steps", "wall_time_s"],
-               [FLOAT, TEXT, FLOAT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, FLOAT],
+                "rejected_steps", "newton_iterations", "jacobian_evaluations", "wall_time_s"],
+               [FLOAT, TEXT, FLOAT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, FLOAT],
                rows)
     print(f"wrote {out_dir / 'compare.csv'} ({len(rows)} rows)")
     return EXIT_OK

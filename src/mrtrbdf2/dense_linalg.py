@@ -294,6 +294,9 @@ def lu_solve(f: LuFactorization, b) -> np.ndarray:
         else:
             x, _ = dgbtrs(f.factors, f.band[0], f.band[1], rhs, f.pivots)
         return x
+    if not stack:  # one matrix: the stack loop would cost twice dgetrs at small n
+        x, _ = dgetrs(f.factors, f.pivots, rhs)
+        return x
     x = _column_major(rhs.shape) if rhs.ndim - cut == 2 else np.empty_like(rhs)
     for k in np.ndindex(stack):
         x[k], _ = dgetrs(f.factors[k], f.pivots[k], rhs[k])

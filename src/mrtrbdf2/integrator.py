@@ -219,11 +219,14 @@ class MacroOutcome:
     fsal: Optional[Tuple[np.ndarray, float]]
     h_proposal: float
     jacobian: Optional[np.ndarray]  # to carry to the next macro step
+    prev: Optional[Tuple[float, np.ndarray, np.ndarray]]  # the next step's predictor
+    rate: float  # Newton's contraction rate, to carry to the next macro step
 
 
 def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float, delta: float,
-             jacobian: Optional[np.ndarray], cfg: MultirateConfig, counter: EvalCounter,
-             fsal: Optional[Tuple[np.ndarray, float]] = None,
+             jacobian: Optional[np.ndarray], rate: float, cfg: MultirateConfig,
+             counter: EvalCounter, fsal: Optional[Tuple[np.ndarray, float]] = None,
+             prev: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
              part: Optional[ActivePartition] = None, frozen=None) -> tuple:
     """Retry one step from (t, x) until it passes, for macro and micro steps alike.
 
@@ -238,7 +241,11 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
     halves h with no retry.  A finite-difference J takes that f(t, x) as its
     base value, never a handed-in z.  Only these two evaluations on a proper
     subsystem read the context ``frozen(t)``.  Each attempt factors
-    I − d·h·J for the step.
+    I − d·h·J for the step.  Every attempt takes ``prev``, the last accepted
+    step of the chain (see :func:`~.trbdf2.step`), and Newton's carried
+    contraction ``rate``; an attempt that fails its error test passes its
+    rate on to the next one, and the accepted step returns its own as
+    ``step.rate``.
     Every attempt is charged to the run's budget ``cfg.max_steps`` on
     ``counter``, and rejections are counted there by cause.  Returns (step, h,
     η, refinement mask or None when δ = 1, rejections, the step's J, that J
@@ -272,7 +279,8 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
         try:
             lu = trbdf2.newton_matrix(jacobian, h, problem.bandwidth)
             res = trbdf2.step(problem, t, x, h, part=part, frozen=frozen, z_in=z_in,
-                              cfg=cfg.newton, counter=counter, lu=lu, tolerances=tol)
+                              cfg=cfg.newton, counter=counter, lu=lu, tolerances=tol,
+                              prev=prev, rate=rate)
         except _RETRYABLE as exc:
             if not fresh:
                 jacobian = None
@@ -293,6 +301,7 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
                 return res, h, eta, refine, rejections, jacobian, carry, h_next
             if not fresh:
                 jacobian = carry
+            rate = res.rate
             cause = "error_test"
         rejections += 1
         counter.rejections[cause] += 1
@@ -315,39 +324,46 @@ def macro_step(
     fsal: Optional[Tuple[np.ndarray, float]] = None,
     counter: Optional[EvalCounter] = None,
     jacobian: Optional[np.ndarray] = None,
+    prev: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
+    rate: float = 1.0,
 ) -> MacroOutcome:
     """One macro interval: tentative full step, partitioning, micro refinement.
 
     ``h`` is attempted as given; :func:`integrate` keeps it within ``h_max``.
     ``fsal`` carries (z, h_prev) with z = h_prev·f(t, u) from the previous
     step; it is rescaled to the attempted step size.  ``jacobian`` is the
-    full-system Jacobian carried from an earlier step (None evaluates one).
-    Returns the refined state at the accepted end time together with the
-    trace record, the next FSAL carrier (None when refinement moved the state
-    off the tentative endpoint), the controller's proposal for the next macro
-    step and the Jacobian to carry to it (None when it is dropped).  Without a
-    ``counter``, ``cfg.max_steps`` budgets this call alone.
+    full-system Jacobian carried from an earlier step (None evaluates one),
+    ``rate`` Newton's contraction rate carried with it and ``prev`` the
+    previous macro step as (h_prev, z_n, z_γ), which predicts the stage
+    values.  Returns the refined state at the accepted end time together with
+    the trace record, the next FSAL carrier and predictor (both None when
+    refinement moved the state off the tentative endpoint), the controller's
+    proposal for the next macro step, the Jacobian to carry to it (None when
+    it is dropped) and the tentative step's rate.  Without a ``counter``,
+    ``cfg.max_steps`` budgets this call alone.
     """
     u = np.asarray(u, dtype=float)
     if counter is None:
         counter = EvalCounter()
     res, h, eta, refine, rejections, jacobian, carry, h_prop = _attempt(
-        problem, t, u, h, h, cfg.controller.delta, jacobian, cfg, counter, fsal=fsal)
+        problem, t, u, h, h, cfg.controller.delta, jacobian, rate, cfg, counter, fsal=fsal,
+        prev=prev)
     active0 = np.empty(0, dtype=np.intp) if refine is None else np.flatnonzero(refine)
 
     micro_records: List[MicroRecord] = []
-    u_final, fsal_next = res.u_next, (res.z_next, h)
+    u_final, fsal_next, prev_next = res.u_next, (res.z_next, h), (h, res.z_n, res.z_gamma)
     if active0.size:
         cohort = ActivePartition(problem.m, active0)
         micro_records, u_final = _refine(problem, t, u, h, res, jacobian, cohort, cfg, counter)
         # The refined state differs from the tentative endpoint, so the
-        # tentative final stage derivative is stale; the next step recomputes it.
-        fsal_next = None
+        # tentative stage derivatives are stale; the next step recomputes f
+        # and starts its stages without a prediction.
+        fsal_next = prev_next = None
     record = MacroRecord(
         t_start=t, h=h, eta_max=float(np.maximum.reduce(eta)), rejections=rejections,
         newton_iterations=res.newton_iterations, active0=active0, micro=micro_records,
     )
-    return MacroOutcome(u_final, record, fsal_next, h_prop, carry)
+    return MacroOutcome(u_final, record, fsal_next, h_prop, carry, prev_next, res.rate)
 
 
 def _refine(
@@ -371,7 +387,9 @@ def _refine(
     context buffer is refreshed on the halo once per distinct stage time.
     Each micro step is :func:`_attempt` on the cohort with δ = 1, landing on
     the window end.  The window starts on the cohort's block of ``jacobian``,
-    the one the tentative step used, and carries it across the micro steps.
+    the one the tentative step used, and carries it across the micro steps,
+    with Newton's contraction rate, which starts from the tentative step's.
+    Each micro step's stages are predicted from the micro step before it.
     """
     u_hat = res.u_next
     t_end = t + h_macro
@@ -413,16 +431,18 @@ def _refine(
                            cfg.tolerances, cfg.controller)
     records: List[MicroRecord] = []
     t_k = t
+    rate, prev = res.rate, None
     while t_k < t_end:
         span = t_end - t_k
         mres, h_eff, eta, _, rejections, _, jacobian, h_mic = _attempt(
-            problem, t_k, x, h_mic, span, 1.0, jacobian, cfg, counter,
+            problem, t_k, x, h_mic, span, 1.0, jacobian, rate, cfg, counter, prev=prev,
             part=active, frozen=latent_context)
         records.append(MicroRecord(
             t_start=t_k, h=h_eff, eta_max=float(np.maximum.reduce(eta)),
             newton_iterations=mres.newton_iterations, rejections=rejections, x_start=x,
         ))
         x = mres.u_next
+        rate, prev = mres.rate, (h_eff, mres.z_n, mres.z_gamma)
         t_k = t_end if h_eff == span else t_k + h_eff
 
     u_final = u_hat.copy()
@@ -464,16 +484,18 @@ def integrate(
     h_next = min(max(cfg.h0, ctrl.h_min), ctrl.h_max, t_end - t0)
     fsal: Optional[Tuple[np.ndarray, float]] = None
     jacobian: Optional[np.ndarray] = None
+    prev: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
+    rate = 1.0
 
     for target in landings:
         while t < target:
             gap = target - t
             out = macro_step(problem, t, u, min(h_next, gap), cfg, fsal=fsal, counter=trace,
-                             jacobian=jacobian)
+                             jacobian=jacobian, prev=prev, rate=rate)
             t = target if out.record.h == gap else t + out.record.h
             u = out.state
-            fsal = out.fsal
-            jacobian = out.jacobian
+            fsal, prev = out.fsal, out.prev
+            jacobian, rate = out.jacobian, out.rate
             h_next = out.h_proposal
             trace.records.append(out.record)
             times.append(t)

@@ -20,6 +20,18 @@ Given the caller's tolerances, Newton stops as soon as its contraction rate
 predicts a stage error well below them (Hairer & Wanner, *Solving ODEs II*,
 §IV.8); see :data:`NEWTON_KAPPA`.
 
+Each stage starts from a predicted z rather than from a stage derivative
+already known, as in ode23tb (Hosea & Shampine, 1996).  Given the previous
+accepted step on the same components that ends at t, the quadratic through
+its two first stage derivatives and z_n, extrapolated to t + γh, starts the
+trapezoidal stage, and the quadratic through its z_γ, z_n and the solved z_γ
+of this step, extrapolated to t + h, starts the BDF2 stage.  Without one, the
+trapezoidal stage starts from z_n and the BDF2 stage from the line through
+z_n and z_γ.  The caller also carries the contraction rate of the last
+Newton iteration across stages and steps, as RADAU5 carries FACCON (Hairer &
+Wanner II, §IV.8): with a good start value, the first increment times that
+rate is often below the stop target, so a stage ends after one iteration.
+
 A step is taken on an active subsystem whose latent components are read from
 a callable of the stage time (see :mod:`.ode_problem`); the full system is
 the case where every component is active.
@@ -53,16 +65,24 @@ W_STAGE = math.sqrt(2.0) / 4.0
 # Newton stops once θ/(1−θ)·‖d·Δz‖_w ≤ NEWTON_KAPPA, where θ is the ratio of
 # the last two increments and w the weights 1/(τ_r|u|+τ_a): the predicted
 # distance of the stage state from the exact stage solution, in units of the
-# error tolerance.  κ is a target for that prediction, not a bound on the
-# actual distance: θ is estimated from two increments, and on the stiff cubic
-# chain of the tests, at h = 0.05 with J scaled ×3 and ×4, the BDF2 stage
-# ended 1.14κ and 1.13κ away (within κ at h ≤ 0.02).
+# error tolerance.  At a stage's first iteration θ/(1−θ) is the rate carried
+# in from the iterations before, damped towards 1 by the power 0.8 at each
+# stage start (RADAU5's FACCON).  κ is a target for that prediction, not a
+# bound on the actual distance: θ is estimated from two increments, and on
+# the stiff cubic chain of the tests, at h = 0.05 with J scaled ×3 and ×4, the
+# BDF2 stage ended 1.14κ and 1.13κ away (within κ at h ≤ 0.02).
 NEWTON_KAPPA = 0.01
+# A previous step predicts this one's stage values only while h_prev/h lies
+# strictly inside these bounds; outside them the extrapolation weights grow
+# without bound (or h_prev/h is not finite after a landing near the smallest
+# subnormal), and the stages start as they would without a previous step.
+PREDICTOR_SPACING = (1e-3, 1e3)
 
 # Main weights b and embedded third-order weights b* over (z_n, z_γ, z_{n+1}).
 WEIGHTS = (W_STAGE, W_STAGE, D_STAGE)
 EMBEDDED_WEIGHTS = ((1.0 - W_STAGE) / 3.0, (3.0 * W_STAGE + 1.0) / 3.0, D_STAGE / 3.0)
 _ERROR_WEIGHTS = tuple(bs - b for bs, b in zip(EMBEDDED_WEIGHTS, WEIGHTS))
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -92,7 +112,9 @@ class StepResult:
     States and stage derivatives live on the stepped (active) components;
     z values are scaled by the step size (z = h·f).  ``eps_mod`` is the
     modified error estimate (I − d·h·J)⁻¹ ε_raw; the raw estimate ε_raw is
-    ``raw_error_estimate(z_n, z_gamma, z_next)``.
+    ``raw_error_estimate(z_n, z_gamma, z_next)``.  ``rate`` is Newton's
+    contraction factor θ/(1−θ) as the BDF2 stage left it, for the next step
+    on the same Jacobian to carry (see :func:`step`).
     """
 
     u_gamma: np.ndarray
@@ -102,6 +124,7 @@ class StepResult:
     z_next: np.ndarray
     eps_mod: np.ndarray
     newton_iterations: Tuple[int, int]
+    rate: float
 
 
 def stability_function(z: complex) -> complex:
@@ -136,6 +159,14 @@ def newton_matrix(jac: np.ndarray, h: float, band: Optional[Tuple[int, int]]) ->
     return lu_factor(a, band=band)
 
 
+def _lagrange_weights(nodes: Tuple[float, float, float], x: float) -> Tuple[float, float, float]:
+    """Weights at x of the quadratic through values at the three ``nodes``."""
+    a, b, c = nodes
+    return ((x - b) * (x - c) / ((a - b) * (a - c)),
+            (x - a) * (x - c) / ((b - a) * (b - c)),
+            (x - a) * (x - b) / ((c - a) * (c - b)))
+
+
 def _newton_stage(
     f_sub,
     lu: LuFactorization,
@@ -146,19 +177,26 @@ def _newton_stage(
     cfg: NewtonConfig,
     weights: Optional[np.ndarray],
     counter: Optional[EvalCounter],
-) -> Tuple[np.ndarray, int]:
-    """Solve z = h f(t_stage, base + d·z) by modified Newton with the given LU.
+    rate: float,
+) -> Tuple[np.ndarray, int, float]:
+    """Solve z = h f(t_stage, base + d·z) by modified Newton with the given LU,
+    starting from the predicted ``z0``.
 
     Stops when ‖Δz‖∞ ≤ ``cfg.tolerance`` or, given tolerance ``weights`` w,
-    once θ/(1−θ)·‖d·Δz‖_w ≤ NEWTON_KAPPA with θ = ‖Δz_k‖_w/‖Δz_{k−1}‖_w < 1.
-    That test bounds a predicted distance from the exact stage solution, so
-    κ is a target: with a Jacobian several times too stiff the stage can end
-    slightly beyond it (1.14κ measured; see :data:`NEWTON_KAPPA`).
+    once rate·‖d·Δz‖_w ≤ NEWTON_KAPPA.  From the second iteration on, rate is
+    θ/(1−θ) with θ = ‖Δz_k‖_w/‖Δz_{k−1}‖_w < 1 (RADAU5's FACCON; Hairer &
+    Wanner II, §IV.8); at the first, it is the carried ``rate`` raised to the
+    power 0.8, which moves a stale rate towards 1.  That test bounds a
+    predicted distance from the exact stage solution, so κ is a target: with
+    a Jacobian several times too stiff the stage can end slightly beyond it
+    (1.14κ measured; see :data:`NEWTON_KAPPA`).  Returns z, the iteration
+    count and the rate to carry on.
     """
     # Each max norm reads the entry at argmax: on the short vectors of micro
     # steps that costs a third of a ufunc reduce, and it is NaN whenever an
     # entry is NaN, as the reduce would be.
     z = z0  # never written in place: each iteration binds a new array
+    rate = max(rate, _EPS) ** 0.8
     prev_res = math.inf
     prev_wnorm = 0.0
     growth = 0
@@ -184,14 +222,15 @@ def _newton_stage(
         a = np.abs(delta)
         dnorm = float(a[a.argmax()]) if a.size else 0.0
         if dnorm <= cfg.tolerance:
-            return z, it
+            return z, it, rate
         if weights is not None:
             a *= weights  # |Δz|·w is |Δz·w| to the bit, as w > 0
             wnorm = float(a[a.argmax()])
             if it > 1:
                 theta = wnorm / prev_wnorm
-                if theta < 1.0 and theta / (1.0 - theta) * D_STAGE * wnorm <= NEWTON_KAPPA:
-                    return z, it
+                rate = theta / (1.0 - theta) if theta < 1.0 else math.inf
+            if rate * D_STAGE * wnorm <= NEWTON_KAPPA:
+                return z, it, rate
             prev_wnorm = wnorm
     raise NewtonDivergence(f"Newton did not converge in {cfg.max_iterations} iterations at t={t_stage}")
 
@@ -209,6 +248,8 @@ def step(
     cfg: Optional[NewtonConfig] = None,
     counter: Optional[EvalCounter] = None,
     tolerances: Optional[ToleranceSpec] = None,
+    prev: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
+    rate: float = 1.0,
 ) -> StepResult:
     """Advance the (sub)system one TR-BDF2 step of size h from (t, u).
 
@@ -228,9 +269,15 @@ def step(
     (:func:`~.ode_problem.subsystem_jacobian`); the step evaluates no J and
     factors nothing.
     With ``tolerances`` Newton also stops by its contraction rate, weighted
-    by 1/(τ_r|u|+τ_a).  Raises :class:`NewtonDivergence` when an iteration
-    stalls, or :class:`NonFiniteOutput` or :class:`SingularMatrix`; the
-    caller is expected to retry with a fresh Jacobian or a smaller h.
+    by 1/(τ_r|u|+τ_a), and at a stage's first iteration by the carried
+    ``rate`` (:func:`_newton_stage`); the result's ``rate`` is the one to
+    carry to the next step.  ``prev`` is the previous accepted step on the
+    same components that ends at t, as (h_prev, its z_n, its z_γ); it
+    predicts the start values of both stages by quadratic extrapolation
+    while h_prev/h lies inside :data:`PREDICTOR_SPACING`.  Raises
+    :class:`NewtonDivergence` when an iteration stalls, or
+    :class:`NonFiniteOutput` or :class:`SingularMatrix`; the caller is
+    expected to retry with a fresh Jacobian or a smaller h.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -260,14 +307,35 @@ def step(
         raise DimensionMismatch(f"factorization of order {lu.n} for {part.size} active components")
     weights = None if tolerances is None else 1.0 / tolerances.scale(u)
 
-    # Trapezoidal stage to t + γh, started from the incoming stage derivative.
+    if prev is not None:
+        # the previous step's z are h_prev·f, so their weights carry h/h_prev
+        rho = prev[0] / h  # h_prev/h
+        if not PREDICTOR_SPACING[0] < rho < PREDICTOR_SPACING[1]:
+            prev = None
+
+    # Trapezoidal stage to t + γh.  The quadratic through f at t − h_prev,
+    # t − h_prev + γh_prev and t, in units of h_prev, predicts its z.
+    z0 = z_n
+    if prev is not None:
+        _, zp_n, zp_gamma = prev
+        wa, wb, wc = _lagrange_weights((-1.0, GAMMA - 1.0, 0.0), GAMMA / rho)
+        z0 = (wa / rho) * zp_n + (wb / rho) * zp_gamma + wc * z_n
     base1 = u + D_STAGE * z_n
-    z_gamma, it_tr = _newton_stage(f_sub, lu, t + GAMMA * h, base1, z_n, h, cfg, weights, counter)
+    z_gamma, it_tr, rate = _newton_stage(f_sub, lu, t + GAMMA * h, base1, z0, h, cfg, weights,
+                                         counter, rate)
     u_gamma = base1 + D_STAGE * z_gamma
 
-    # BDF2 stage to t + h, started from the trapezoidal stage derivative.
+    # BDF2 stage to t + h.  The quadratic through f at t − h_prev + γh_prev,
+    # t and t + γh, in units of h, predicts its z; without a previous step,
+    # the line through z_n and z_γ.
+    if prev is None:
+        z0 = (1.0 - 1.0 / GAMMA) * z_n + (1.0 / GAMMA) * z_gamma
+    else:
+        wa, wb, wc = _lagrange_weights(((GAMMA - 1.0) * rho, 0.0, GAMMA), 1.0)
+        z0 = (wa / rho) * zp_gamma + wb * z_n + wc * z_gamma
     base2 = u + W_STAGE * z_n + W_STAGE * z_gamma
-    z_next, it_bdf = _newton_stage(f_sub, lu, t + h, base2, z_gamma, h, cfg, weights, counter)
+    z_next, it_bdf, rate = _newton_stage(f_sub, lu, t + h, base2, z0, h, cfg, weights,
+                                         counter, rate)
     u_next = base2 + D_STAGE * z_next
 
     eps_raw = raw_error_estimate(z_n, z_gamma, z_next)
@@ -280,4 +348,5 @@ def step(
         z_next=z_next,
         eps_mod=eps_mod,
         newton_iterations=(it_tr, it_bdf),
+        rate=rate,
     )

@@ -250,6 +250,8 @@ def test_compare_emits_rows(tmp_path):
         assert int(row["effective_scalar_evals"]) == s["rhs_calls"] * preset.problem.m
         assert int(row["total_steps"]) == s["total_accepted_steps"]
         assert int(row["rejected_steps"]) == s["rejected_macro_steps"] + s["rejected_micro_steps"] > 0
+        assert int(row["newton_iterations"]) == s["newton_iterations"] > 0
+        assert int(row["jacobian_evaluations"]) == s["jacobian_evaluations"] > 0
 
 
 def test_compare_empty_tolerances_exits_2():

@@ -67,6 +67,22 @@ def test_lu_dimension_checks():
         assert lu_solve(f, np.ones((n, 2))).shape == (n, 2)
 
 
+def test_one_dense_solve_is_one_dgetrs_call_with_the_stacked_bytes(monkeypatch):
+    calls = []
+    real = dense_linalg.dgetrs
+    monkeypatch.setattr(dense_linalg, "dgetrs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    rng = np.random.default_rng(3)
+    for n in (1, 7):
+        a = rng.normal(size=(n, n)) + n * np.eye(n)
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            stacked = lu_solve(lu_factor(a[None]), b[None])[0]
+            calls.clear()
+            x = lu_solve(lu_factor(a), b)
+            assert len(calls) == 1
+            assert x.shape == b.shape
+            assert x.tobytes() == np.ascontiguousarray(stacked).tobytes()
+
+
 def test_matrix_norm_identity():
     for kind in ("one", "two", "inf"):
         assert matrix_norm(np.eye(4), kind) == pytest.approx(1.0, abs=1e-12)

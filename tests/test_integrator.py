@@ -140,11 +140,12 @@ def test_all_active_refinement_matches_micro_grid_replay():
     assert len(rec.micro) >= 2
     # every micro step was stepped on all three components
     assert_windows_tile_with_a_fixed_cohort(IntegrationTrace(m=3, records=[rec]), steps)
-    x = u0.copy()
+    # each micro step's stages are predicted from the micro step before it
+    x, prev = u0.copy(), None
     part = ActivePartition.full(3)
     for mic in rec.micro:
-        res = lone_step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton)
-        x = res.u_next
+        res = lone_step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton, prev=prev)
+        x, prev = res.u_next, (mic.h, res.z_n, res.z_gamma)
     assert np.array_equal(x, out.state)
 
 
@@ -456,6 +457,20 @@ def test_halo_context_matches_full_length_reconstruction_bitwise(make, interpola
         assert [(mic.h, mic.newton_iterations) for mic in a.record.micro] == \
             [(mic.h, mic.newton_iterations) for mic in b.record.micro]
         assert a.state.tobytes() == b.state.tobytes()
+
+
+def test_repeated_runs_in_one_process_are_bitwise_identical():
+    # Newton's carried rate and the stage predictors belong to the run, so a
+    # run repeated in the same process, after a multirate and a single-rate
+    # run, starts from the same state as the first
+    preset = inverter_chain(m=12, t_end=8.0)
+    runs = [run(preset.problem, preset.t0, preset.t_end, preset.y0, preset.config)
+            for _ in range(2) for run in (integrate, integrate_single_rate)]
+    assert runs[0][1].accepted_micro > 0
+    for (traj_a, trace_a), (traj_b, trace_b) in zip(runs[:2], runs[2:]):
+        assert traj_a.times.tobytes() == traj_b.times.tobytes()
+        assert traj_a.states.tobytes() == traj_b.states.tobytes()
+        assert trace_a.summary() == trace_b.summary()
 
 
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])
