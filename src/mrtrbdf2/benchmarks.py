@@ -332,6 +332,6 @@ def courant_numbers(
         wave = float(np.max(np.abs(preset.flux_derivative(u_start))))
         out.append(CourantSample("global", rec.t_start, rec.h, wave * rec.h / preset.dx))
         for mic in rec.micro:
-            wave = float(np.max(np.abs(preset.flux_derivative(mic.x_start)))) if mic.x_start.size else 0.0
+            wave = float(np.max(np.abs(preset.flux_derivative(mic.x_start))))
             out.append(CourantSample("refined", mic.t_start, mic.h, wave * mic.h / preset.dx))
     return out

@@ -35,7 +35,8 @@ from .benchmarks import BenchmarkPreset, courant_numbers
 from .controller import ToleranceSpec
 from .dense_linalg import as_matrix
 from .errors import ToolkitError
-from .integrator import INTERPOLANT_KINDS, IntegrationTrace, Trajectory, integrate, integrate_single_rate
+from .integrator import (INTERPOLANT_KINDS, REJECTION_CAUSES, IntegrationTrace, Trajectory,
+                         integrate, integrate_single_rate)
 from .ode_problem import ActivePartition
 from .stability import MODEL_SYSTEMS, default_rescaled_grid, model_system, norm_sweep
 
@@ -317,14 +318,18 @@ def cmd_compare(args, argv: Sequence[str]) -> int:
                          s["effective_scalar_evals"], s["accepted_macro_steps"],
                          s["accepted_micro_steps"], s["total_accepted_steps"],
                          s["rejected_macro_steps"] + s["rejected_micro_steps"],
-                         s["newton_iterations"], s["jacobian_evaluations"], wall))
+                         s["newton_iterations"], s["jacobian_evaluations"],
+                         s["stale_jacobian_retries"],
+                         *(s["rejection_causes"][c] for c in REJECTION_CAUSES), wall))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "compare.csv",
                ["tolerance", "mode", "error_vs_reference", "workload", "scalar_evals",
                 "effective_scalar_evals", "macro_steps", "micro_steps", "total_steps",
-                "rejected_steps", "newton_iterations", "jacobian_evaluations", "wall_time_s"],
-               [FLOAT, TEXT, FLOAT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, TEXT, FLOAT],
+                "rejected_steps", "newton_iterations", "jacobian_evaluations",
+                "stale_jacobian_retries", *(f"rejected_{c}" for c in REJECTION_CAUSES),
+                "wall_time_s"],
+               [FLOAT, TEXT, FLOAT, *[TEXT] * (10 + len(REJECTION_CAUSES)), FLOAT],
                rows)
     print(f"wrote {out_dir / 'compare.csv'} ({len(rows)} rows)")
     return EXIT_OK

@@ -12,11 +12,15 @@ latent components it couples to are reconstructed by the configured
 interpolant.  With δ = 1 nothing is flagged and the driver is exactly the
 adaptive single-rate method, arithmetic path included.
 
-Macro and micro steps share one attempt loop, :func:`_attempt`: a micro step
+Macro and micro steps share one stepping loop, :func:`_march`: a micro step
 is a step on the cohort with δ = 1, so it meets the unscaled tolerance.  It
-owns the Newton matrix I − d·h·J: it evaluates J when it holds none, and
-factors the matrix for :func:`~.trbdf2.step`, which only solves on it.  J is
-carried from macro step to macro step, into a refinement window as the
+lands on each target (a sample time or t_end for a macro step, the window end
+for a micro step) by one rule: a step accepted at the whole gap sets t to the
+target itself, and the loop runs while t is below it.  What a step hands to
+the next is one :class:`_Chain`.  Each step is retried by :func:`_attempt`,
+which owns the Newton matrix I − d·h·J: it evaluates J when it holds none,
+and factors the matrix for :func:`~.trbdf2.step`, which only solves on it.
+J is carried from macro step to macro step, into a refinement window as the
 cohort's block, and across its micro steps; a slow Newton stage drops it
 (:data:`REUSE_MAX_ITERATIONS`).  A failure on a carried Jacobian is retried
 once at the same h on a fresh one, which is not a rejection; a failure on a
@@ -24,14 +28,9 @@ fresh one halves h and keeps it.  Without an FSAL hand-off that rescales to
 the new h (h/h_prev overflows after a landing near the smallest subnormal),
 the loop evaluates f at the step start once for all attempts.  A J or f not
 finite at the step start ends the run, as no smaller h changes it.  A
-finite-difference J at the step start takes that f as its base value.
-
-Macro and micro steps also land by one rule: a step accepted at the whole gap
-to its target (a sample time or t_end for a macro step, the window end for a
-micro step) sets t to the target itself, and each loop runs while t is below
-its target.  The run's :class:`IntegrationTrace` is its
-:class:`~.ode_problem.EvalCounter` as well, so all work is charged to it
-directly.
+finite-difference J at the step start takes that f as its base value.  The
+run's :class:`IntegrationTrace` is its :class:`~.ode_problem.EvalCounter` as
+well, so all work is charged to it directly.
 
 A micro step reads a latent context built once per macro window.  Its halo is
 the latent components that the cohort's rows of f depend on through the
@@ -211,51 +210,48 @@ class Trajectory:
 
 
 @dataclass
-class MacroOutcome:
-    """Result of one accepted macro step."""
+class _Chain:
+    """What an accepted step hands to the next: the proposed h, the Jacobian
+    to carry (None evaluates one), Newton's contraction rate, the (h, z_n, z_γ)
+    predicting its stages, and the FSAL hand-off (z, h_prev)."""
 
-    state: np.ndarray
-    record: MacroRecord
-    fsal: Optional[Tuple[np.ndarray, float]]
-    h_proposal: float
-    jacobian: Optional[np.ndarray]  # to carry to the next macro step
-    prev: Optional[Tuple[float, np.ndarray, np.ndarray]]  # the next step's predictor
-    rate: float  # Newton's contraction rate, to carry to the next macro step
+    h: float
+    jacobian: Optional[np.ndarray] = None
+    rate: float = 1.0
+    prev: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
+    fsal: Optional[Tuple[np.ndarray, float]] = None
 
 
-def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float, delta: float,
-             jacobian: Optional[np.ndarray], rate: float, cfg: MultirateConfig,
-             counter: EvalCounter, fsal: Optional[Tuple[np.ndarray, float]] = None,
-             prev: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
+def _attempt(problem: OdeProblem, t: float, x: np.ndarray, span: float, final: bool,
+             delta: float, chain: _Chain, cfg: MultirateConfig, counter: EvalCounter,
              part: Optional[ActivePartition] = None, frozen=None) -> tuple:
-    """Retry one step from (t, x) until it passes, for macro and micro steps alike.
+    """Retry one step from (t, x) at ``chain.h`` until it passes, for macro and
+    micro steps alike.
 
     An h beyond ``span`` becomes ``span``, so the step lands exactly.  It
     passes when every component outside the refinement set
     {η > δ·max η} ∩ {η > 1} meets its tolerance; δ = 1 flags nothing.
-    ``fsal`` is a macro step's (z, h_prev) hand-off, ``part``/``frozen`` a
-    micro step's cohort and latent context; without a usable one, f(t, x)
-    becomes the hand-off (f, 1.0).  J is the carried ``jacobian``
-    until a failure or a slow stage drops it; then J at (t, x) is evaluated
-    once and serves all later attempts, also after a failure on it, which
-    halves h with no retry.  A finite-difference J takes that f(t, x) as its
-    base value, never a handed-in z.  Only these two evaluations on a proper
-    subsystem read the context ``frozen(t)``.  Each attempt factors
-    I − d·h·J for the step.  Every attempt takes ``prev``, the last accepted
-    step of the chain (see :func:`~.trbdf2.step`), and Newton's carried
-    contraction ``rate``; an attempt that fails its error test passes its
-    rate on to the next one, and the accepted step returns its own as
-    ``step.rate``.
-    Every attempt is charged to the run's budget ``cfg.max_steps`` on
-    ``counter``, and rejections are counted there by cause.  Returns (step, h,
-    η, refinement mask or None when δ = 1, rejections, the step's J, that J
-    if it is carried on or else None, proposal from δ·ε, or None for a micro
-    step that lands on ``span``).
+    ``part``/``frozen`` are a micro step's cohort and latent context; without
+    a usable ``chain.fsal``, f(t, x) becomes the hand-off (f, 1.0).  J is
+    ``chain.jacobian`` until a failure or a slow stage drops it; then J at
+    (t, x) is evaluated once and serves all later attempts, also after a
+    failure on it, which halves h with no retry.  A finite-difference J takes
+    that f(t, x) as its base value, never a handed-in z.  Only these two
+    evaluations on a proper subsystem read the context ``frozen(t)``.  Each
+    attempt factors I − d·h·J and takes ``chain.prev`` (see
+    :func:`~.trbdf2.step`) and a contraction rate, carried on from a failed
+    error test.  Every attempt is charged to the run's budget
+    ``cfg.max_steps`` on ``counter``, which counts rejections by cause.  The
+    accepted step hands ``chain`` its proposal from δ·ε (none on landing on
+    the ``final`` target), its J if carried on (else None), rate, predictor
+    and, on the full system, FSAL hand-off.  Returns (step, h, η, refinement
+    mask or None when δ = 1, rejections, the step's J).
     """
     ctrl, tol = cfg.controller, cfg.tolerances
     # f and J at (t, x) are taken on this partition, through trbdf2's bindings,
     # which perfbench's tracer counts
     sub = ActivePartition.full(problem.m) if part is None else part
+    h, jacobian, rate, fsal = chain.h, chain.jacobian, chain.rate, chain.fsal
     fresh = False  # whether ``jacobian`` was evaluated at (t, x)
     f_start = None  # f(t, x) once evaluated here: a finite-difference J's base value
     rejections = 0
@@ -280,7 +276,7 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
             lu = trbdf2.newton_matrix(jacobian, h, problem.bandwidth)
             res = trbdf2.step(problem, t, x, h, part=part, frozen=frozen, z_in=z_in,
                               cfg=cfg.newton, counter=counter, lu=lu, tolerances=tol,
-                              prev=prev, rate=rate)
+                              prev=chain.prev, rate=rate)
         except _RETRYABLE as exc:
             if not fresh:
                 jacobian = None
@@ -294,11 +290,13 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
             if delta < 1.0:  # sub-tolerance members of the cohort have nothing to repair
                 refine = select_active(eta, delta) & (eta > 1.0)
             if accept_global(eta if refine is None else eta[~refine]):
-                h_next = None  # a micro step landing on its window end has no next step
-                if part is None or h < span:
+                if h < span or not final:
                     eps = res.eps_mod if refine is None else delta * res.eps_mod
-                    h_next = next_step_size(h, eps, res.u_next, tol, ctrl)
-                return res, h, eta, refine, rejections, jacobian, carry, h_next
+                    chain.h = next_step_size(h, eps, res.u_next, tol, ctrl)
+                chain.jacobian, chain.rate = carry, res.rate
+                chain.prev = (h, res.z_n, res.z_gamma)
+                chain.fsal = (res.z_next, h) if part is None else None
+                return res, h, eta, refine, rejections, jacobian
             if not fresh:
                 jacobian = carry
             rate = res.rate
@@ -315,55 +313,41 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, h: float, span: float
             h = next_step_size(h, res.eps_mod[~refine], res.u_next[~refine], tol, ctrl)
 
 
-def macro_step(
-    problem: OdeProblem,
-    t: float,
-    u: np.ndarray,
-    h: float,
-    cfg: MultirateConfig,
-    fsal: Optional[Tuple[np.ndarray, float]] = None,
-    counter: Optional[EvalCounter] = None,
-    jacobian: Optional[np.ndarray] = None,
-    prev: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
-    rate: float = 1.0,
-) -> MacroOutcome:
-    """One macro interval: tentative full step, partitioning, micro refinement.
-
-    ``h`` is attempted as given; :func:`integrate` keeps it within ``h_max``.
-    ``fsal`` carries (z, h_prev) with z = h_prev·f(t, u) from the previous
-    step; it is rescaled to the attempted step size.  ``jacobian`` is the
-    full-system Jacobian carried from an earlier step (None evaluates one),
-    ``rate`` Newton's contraction rate carried with it and ``prev`` the
-    previous macro step as (h_prev, z_n, z_γ), which predicts the stage
-    values.  Returns the refined state at the accepted end time together with
-    the trace record, the next FSAL carrier and predictor (both None when
-    refinement moved the state off the tentative endpoint), the controller's
-    proposal for the next macro step, the Jacobian to carry to it (None when
-    it is dropped) and the tentative step's rate.  Without a ``counter``,
-    ``cfg.max_steps`` budgets this call alone.
-    """
-    u = np.asarray(u, dtype=float)
-    if counter is None:
-        counter = EvalCounter()
-    res, h, eta, refine, rejections, jacobian, carry, h_prop = _attempt(
-        problem, t, u, h, h, cfg.controller.delta, jacobian, rate, cfg, counter, fsal=fsal,
-        prev=prev)
-    active0 = np.empty(0, dtype=np.intp) if refine is None else np.flatnonzero(refine)
-
-    micro_records: List[MicroRecord] = []
-    u_final, fsal_next, prev_next = res.u_next, (res.z_next, h), (h, res.z_n, res.z_gamma)
-    if active0.size:
-        cohort = ActivePartition(problem.m, active0)
-        micro_records, u_final = _refine(problem, t, u, h, res, jacobian, cohort, cfg, counter)
-        # The refined state differs from the tentative endpoint, so the
-        # tentative stage derivatives are stale; the next step recomputes f
-        # and starts its stages without a prediction.
-        fsal_next = prev_next = None
-    record = MacroRecord(
-        t_start=t, h=h, eta_max=float(np.maximum.reduce(eta)), rejections=rejections,
-        newton_iterations=res.newton_iterations, active0=active0, micro=micro_records,
-    )
-    return MacroOutcome(u_final, record, fsal_next, h_prop, carry, prev_next, res.rate)
+def _march(problem: OdeProblem, t: float, x: np.ndarray, targets: Sequence[float],
+           chain: _Chain, delta: float, cfg: MultirateConfig, counter: EvalCounter,
+           part: Optional[ActivePartition] = None, frozen=None):
+    """Step from (t, x) to each of the increasing ``targets`` in turn with
+    :func:`_attempt` on ``part`` (the full system when None), handing
+    ``chain`` from step to step.  On the full system a step that flags a
+    cohort has it refined by :func:`_refine` and is a :class:`MacroRecord`;
+    a step on a cohort is a :class:`MicroRecord`.  Yields each accepted
+    step's record, the time it landed on and the state there."""
+    for target in targets:
+        while t < target:
+            span = target - t
+            res, h, eta, refine, rejections, jacobian = _attempt(
+                problem, t, x, span, target == targets[-1], delta, chain, cfg, counter,
+                part, frozen)
+            eta_max, iters = float(np.maximum.reduce(eta)), res.newton_iterations
+            x_next = res.u_next
+            if part is None:
+                active0 = np.empty(0, dtype=np.intp) if refine is None else np.flatnonzero(refine)
+                micro: List[MicroRecord] = []
+                if active0.size:
+                    cohort = ActivePartition(problem.m, active0)
+                    micro, x_next = _refine(problem, t, x, h, res, jacobian, cohort, cfg, counter)
+                    # The refined state differs from the tentative endpoint, so the
+                    # tentative stage derivatives are stale; the next step recomputes f
+                    # and starts its stages without a prediction.
+                    chain.fsal = chain.prev = None
+                record = MacroRecord(t_start=t, h=h, eta_max=eta_max, rejections=rejections,
+                                     newton_iterations=iters, active0=active0, micro=micro)
+            else:
+                record = MicroRecord(t_start=t, h=h, eta_max=eta_max, newton_iterations=iters,
+                                     rejections=rejections, x_start=x)
+            t = target if h == span else t + h
+            x = x_next
+            yield record, t, x
 
 
 def _refine(
@@ -385,11 +369,10 @@ def _refine(
     fixed cohort also fixes the latent halo (:func:`~.ode_problem.latent_halo`),
     so the interpolant data is sliced to the halo once per window and the
     context buffer is refreshed on the halo once per distinct stage time.
-    Each micro step is :func:`_attempt` on the cohort with δ = 1, landing on
-    the window end.  The window starts on the cohort's block of ``jacobian``,
-    the one the tentative step used, and carries it across the micro steps,
-    with Newton's contraction rate, which starts from the tentative step's.
-    Each micro step's stages are predicted from the micro step before it.
+    The micro steps are :func:`_march` on the cohort with δ = 1, landing on
+    the window end.  Their chain starts on the cohort's block of ``jacobian``,
+    the one the tentative step used, and on the tentative step's contraction
+    rate; each micro step's stages are predicted from the micro step before it.
     """
     u_hat = res.u_next
     t_end = t + h_macro
@@ -424,26 +407,16 @@ def _refine(
             context_time = t_target
         return context
 
+    chain = _Chain(
+        # The first micro proposal comes from the tentative macro error.
+        h=next_step_size(h_macro, res.eps_mod[active.indices], u_hat[active.indices],
+                         cfg.tolerances, cfg.controller),
+        jacobian=block(jacobian, active.indices, problem.bandwidth), rate=res.rate)
     x = u[active.indices]
-    jacobian = block(jacobian, active.indices, problem.bandwidth)
-    # The first micro proposal comes from the tentative macro error.
-    h_mic = next_step_size(h_macro, res.eps_mod[active.indices], u_hat[active.indices],
-                           cfg.tolerances, cfg.controller)
     records: List[MicroRecord] = []
-    t_k = t
-    rate, prev = res.rate, None
-    while t_k < t_end:
-        span = t_end - t_k
-        mres, h_eff, eta, _, rejections, _, jacobian, h_mic = _attempt(
-            problem, t_k, x, h_mic, span, 1.0, jacobian, rate, cfg, counter, prev=prev,
-            part=active, frozen=latent_context)
-        records.append(MicroRecord(
-            t_start=t_k, h=h_eff, eta_max=float(np.maximum.reduce(eta)),
-            newton_iterations=mres.newton_iterations, rejections=rejections, x_start=x,
-        ))
-        x = mres.u_next
-        rate, prev = mres.rate, (h_eff, mres.z_n, mres.z_gamma)
-        t_k = t_end if h_eff == span else t_k + h_eff
+    for record, _, x in _march(problem, t, x, [t_end], chain, 1.0, cfg, counter,
+                               active, latent_context):
+        records.append(record)
 
     u_final = u_hat.copy()
     u_final[active.indices] = x
@@ -460,49 +433,30 @@ def integrate(
 ) -> Tuple[Trajectory, IntegrationTrace]:
     """Integrate y' = f(t, y) from t0 to t_end with the multirate driver.
 
-    Macro steps are chained with FSAL hand-off and the controller's proposal.
-    The ``t_samples`` inside (t0, t_end) and t_end itself are landings, taken
-    in order: each step is min(proposal, gap to the landing), and one accepted
-    at the whole gap sets t to the landing itself, so callers read states at
-    those times without interpolation error, at any |t|.  The returned trace
-    is the run's counter: every evaluation and attempt is charged to it.
+    Macro steps are chained with FSAL hand-off and the controller's proposal,
+    starting from ``cfg.h0``.  The ``t_samples`` inside (t0, t_end) and t_end
+    itself are the targets of :func:`_march`, taken in order, so callers read
+    states at those times without interpolation error, at any |t|.  The
+    returned trace is the run's counter: every evaluation and attempt is
+    charged to it.
     """
     if not (math.isfinite(t0) and math.isfinite(t_end) and t0 < t_end):
         raise ValueError(f"need finite t0 < t_end, got t0={t0!r}, t_end={t_end!r}")
     y0 = np.asarray(y0, dtype=float)
     trace = IntegrationTrace(m=problem.m)
-    ctrl = cfg.controller
 
     landings = sorted({float(s) for s in t_samples if t0 < s < t_end})
     landings.append(float(t_end))
 
     times = [float(t0)]
     states = [y0.copy()]
+    for record, t, u in _march(problem, times[0], states[0], landings, _Chain(h=cfg.h0),
+                               cfg.controller.delta, cfg, trace):
+        trace.records.append(record)
+        times.append(t)
+        states.append(u.copy())
 
-    t = float(t0)
-    u = y0.copy()
-    h_next = min(max(cfg.h0, ctrl.h_min), ctrl.h_max, t_end - t0)
-    fsal: Optional[Tuple[np.ndarray, float]] = None
-    jacobian: Optional[np.ndarray] = None
-    prev: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
-    rate = 1.0
-
-    for target in landings:
-        while t < target:
-            gap = target - t
-            out = macro_step(problem, t, u, min(h_next, gap), cfg, fsal=fsal, counter=trace,
-                             jacobian=jacobian, prev=prev, rate=rate)
-            t = target if out.record.h == gap else t + out.record.h
-            u = out.state
-            fsal, prev = out.fsal, out.prev
-            jacobian, rate = out.jacobian, out.rate
-            h_next = out.h_proposal
-            trace.records.append(out.record)
-            times.append(t)
-            states.append(u.copy())
-
-    traj = Trajectory(np.asarray(times), np.asarray(states))
-    return traj, trace
+    return Trajectory(np.asarray(times), np.asarray(states)), trace
 
 
 def integrate_single_rate(

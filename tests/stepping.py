@@ -1,9 +1,15 @@
-"""A lone TR-BDF2 step, prepared at its start the way the integrator's attempt
-loop prepares one, for tests that use a single step as their oracle."""
+"""Single steps, prepared the way the integrator prepares them, for tests that
+use one step as their oracle: a lone TR-BDF2 step, and one macro step of the
+multirate driver with its refinement."""
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from mrtrbdf2.ode_problem import ActivePartition, eval_subsystem_rhs, subsystem_jacobian
+from mrtrbdf2.integrator import _Chain, _march
+from mrtrbdf2.ode_problem import (ActivePartition, EvalCounter, eval_subsystem_rhs,
+                                  subsystem_jacobian)
 from mrtrbdf2.trbdf2 import newton_matrix, step
 
 
@@ -25,3 +31,18 @@ def lone_step(problem, t, u, h, part=None, frozen=None, *, z_in=None, lu=None, c
         lu = newton_matrix(jac, h, problem.bandwidth)
     return step(problem, t, u, h, part=part, frozen=frozen, z_in=z_in, lu=lu, counter=counter,
                 **kwargs)
+
+
+def macro_step(problem, t, u, h, cfg, counter=None, jacobian=None):
+    """The first accepted macro step of the multirate driver from (t, u),
+    attempted first at h as given, with no FSAL hand-off or predictor, on the
+    carried ``jacobian`` if one is given.  Its target is unreachable, so no
+    landing cuts h.  Without a ``counter``, ``cfg.max_steps`` budgets this
+    call alone.  Returns the step's ``record``, its refined ``state``, the
+    ``jacobian`` it carries on (None when dropped) and the tentative step's
+    contraction ``rate``."""
+    chain = _Chain(h=h, jacobian=jacobian)
+    counter = EvalCounter() if counter is None else counter
+    record, _, state = next(_march(problem, t, np.asarray(u, dtype=float), [math.inf], chain,
+                                   cfg.controller.delta, cfg, counter))
+    return SimpleNamespace(record=record, state=state, jacobian=chain.jacobian, rate=chain.rate)

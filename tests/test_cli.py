@@ -14,7 +14,7 @@ from mrtrbdf2 import benchmarks, dense_linalg
 from mrtrbdf2.cli import PRESETS, _build_preset, build_parser, main
 from mrtrbdf2.controller import ToleranceSpec
 from mrtrbdf2.dense_linalg import matrix_norm, spectral_radius
-from mrtrbdf2.integrator import integrate, integrate_single_rate
+from mrtrbdf2.integrator import REJECTION_CAUSES, integrate, integrate_single_rate
 from mrtrbdf2.stability import AmplificationReport, single_rate_amplification
 
 
@@ -252,6 +252,10 @@ def test_compare_emits_rows(tmp_path):
         assert int(row["rejected_steps"]) == s["rejected_macro_steps"] + s["rejected_micro_steps"] > 0
         assert int(row["newton_iterations"]) == s["newton_iterations"] > 0
         assert int(row["jacobian_evaluations"]) == s["jacobian_evaluations"] > 0
+        assert int(row["stale_jacobian_retries"]) == s["stale_jacobian_retries"]
+        causes = {c: int(row[f"rejected_{c}"]) for c in REJECTION_CAUSES}
+        assert causes == s["rejection_causes"]
+        assert sum(causes.values()) == int(row["rejected_steps"])
 
 
 def test_compare_empty_tolerances_exits_2():

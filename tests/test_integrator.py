@@ -24,10 +24,9 @@ from mrtrbdf2.integrator import (
     MultirateConfig,
     integrate,
     integrate_single_rate,
-    macro_step,
 )
 from mrtrbdf2.ode_problem import ActivePartition, EvalCounter, OdeProblem, latent_halo
-from stepping import lone_step
+from stepping import lone_step, macro_step
 
 
 def linear_problem(a):
@@ -140,12 +139,14 @@ def test_all_active_refinement_matches_micro_grid_replay():
     assert len(rec.micro) >= 2
     # every micro step was stepped on all three components
     assert_windows_tile_with_a_fixed_cohort(IntegrationTrace(m=3, records=[rec]), steps)
-    # each micro step's stages are predicted from the micro step before it
-    x, prev = u0.copy(), None
+    # each micro step's stages are predicted from the micro step before it,
+    # and Newton's contraction rate is carried on from the tentative step's
+    x, prev, rate = u0.copy(), None, out.rate
     part = ActivePartition.full(3)
     for mic in rec.micro:
-        res = lone_step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton, prev=prev)
-        x, prev = res.u_next, (mic.h, res.z_n, res.z_gamma)
+        res = lone_step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton,
+                        tolerances=cfg.tolerances, prev=prev, rate=rate)
+        x, prev, rate = res.u_next, (mic.h, res.z_n, res.z_gamma), res.rate
     assert np.array_equal(x, out.state)
 
 
@@ -661,6 +662,17 @@ def test_trajectory_times_strictly_increasing_and_exact_landings():
     assert traj.times[-1] == 1.0
     for s in samples:
         assert np.min(np.abs(traj.times - s)) == 0.0
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_single_rate])
+@pytest.mark.parametrize("t_end, samples", [(1e-3, []), (1.0, [1e-3])], ids=["t_end", "sample"])
+def test_first_step_beyond_the_first_target_is_cut_to_land_on_it(run, t_end, samples):
+    # h0 = 1e-2 overshoots the first target, so the first step takes the whole
+    # gap and lands on it exactly
+    p = linear_problem([[-1.0]])
+    traj, trace = run(p, 0.0, t_end, np.array([1.0]), default_cfg(h0=1e-2), t_samples=samples)
+    assert trace.records[0].h == 1e-3
+    assert traj.times[1] == 1e-3
 
 
 @pytest.mark.parametrize("run", [integrate, integrate_single_rate])
