@@ -36,7 +36,8 @@ A micro step reads a latent context built once per macro window.  Its halo is
 the latent components that the cohort's rows of f depend on through the
 declared Jacobian bandwidth (all of them when none is declared); only those
 are reconstructed, into one length-m buffer seeded from the tentative
-endpoint, and only when the stage time changes; subsystem calls write the
+endpoint, and only when the stage time changes.  The window's provider of
+that buffer reaches the cohort's f and J unchanged, and they write the
 cohort's state into it in place.  Rows of f outside the cohort are computed
 but never gathered, which keeps every gathered value bitwise equal to a
 full-length reconstruction.
@@ -224,33 +225,30 @@ class _Chain:
 
 def _attempt(problem: OdeProblem, t: float, x: np.ndarray, span: float, final: bool,
              delta: float, chain: _Chain, cfg: MultirateConfig, counter: EvalCounter,
-             part: Optional[ActivePartition] = None, frozen=None) -> tuple:
+             part: ActivePartition, frozen=None) -> tuple:
     """Retry one step from (t, x) at ``chain.h`` until it passes, for macro and
     micro steps alike.
 
     An h beyond ``span`` becomes ``span``, so the step lands exactly.  It
     passes when every component outside the refinement set
     {η > δ·max η} ∩ {η > 1} meets its tolerance; δ = 1 flags nothing.
-    ``part``/``frozen`` are a micro step's cohort and latent context; without
-    a usable ``chain.fsal``, f(t, x) becomes the hand-off (f, 1.0).  J is
-    ``chain.jacobian`` until a failure or a slow stage drops it; then J at
-    (t, x) is evaluated once and serves all later attempts, also after a
-    failure on it, which halves h with no retry.  A finite-difference J takes
-    that f(t, x) as its base value, never a handed-in z.  Only these two
-    evaluations on a proper subsystem read the context ``frozen(t)``.  Each
+    ``part`` is the partition stepped and ``frozen`` a micro step's latent
+    context provider, None on a macro step; without a usable ``chain.fsal``,
+    f(t, x) becomes the hand-off (f, 1.0).  J is ``chain.jacobian`` until a
+    failure or a slow stage drops it; then J at (t, x) is evaluated once and
+    serves all later attempts, also after a failure on it, which halves h with
+    no retry.  A finite-difference J takes that f(t, x) as its base value,
+    never a handed-in z.  Each
     attempt factors I − d·h·J and takes ``chain.prev`` (see
     :func:`~.trbdf2.step`) and a contraction rate, carried on from a failed
     error test.  Every attempt is charged to the run's budget
     ``cfg.max_steps`` on ``counter``, which counts rejections by cause.  The
     accepted step hands ``chain`` its proposal from δ·ε (none on landing on
     the ``final`` target), its J if carried on (else None), rate, predictor
-    and, on the full system, FSAL hand-off.  Returns (step, h, η, refinement
+    and, on a macro step, FSAL hand-off.  Returns (step, h, η, refinement
     mask or None when δ = 1, rejections, the step's J).
     """
     ctrl, tol = cfg.controller, cfg.tolerances
-    # f and J at (t, x) are taken on this partition, through trbdf2's bindings,
-    # which perfbench's tracer counts
-    sub = ActivePartition.full(problem.m) if part is None else part
     h, jacobian, rate, fsal = chain.h, chain.jacobian, chain.rate, chain.fsal
     fresh = False  # whether ``jacobian`` was evaluated at (t, x)
     f_start = None  # f(t, x) once evaluated here: a finite-difference J's base value
@@ -262,14 +260,13 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, span: float, final: b
         h = min(h, span)
         ratio = math.inf if fsal is None else h / fsal[1]
         if not math.isfinite(ratio):  # none, or overflows after a landing near 5e-324
-            # f(t, x) serves every attempt; a non-finite one raises here, whatever h
-            context = None if sub.is_full else frozen(t)
-            f_start = trbdf2.eval_subsystem_rhs(problem, t, x, context, sub, counter)
+            # f(t, x) serves every attempt; a non-finite one raises here, whatever h.
+            # f and J go through trbdf2's bindings, which perfbench's tracer counts
+            f_start = trbdf2.eval_subsystem_rhs(problem, t, x, frozen, part, counter)
             fsal, ratio = (f_start, 1.0), h
         z_in = fsal[0] * ratio
         if jacobian is None:  # a non-finite J at (t, x) raises here, whatever h
-            context = None if sub.is_full else frozen(t)
-            jacobian = trbdf2.subsystem_jacobian(problem, t, x, context, sub, counter,
+            jacobian = trbdf2.subsystem_jacobian(problem, t, x, frozen, part, counter,
                                                  f0=f_start)
             fresh = True
         try:
@@ -295,7 +292,7 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, span: float, final: b
                     chain.h = next_step_size(h, eps, res.u_next, tol, ctrl)
                 chain.jacobian, chain.rate = carry, res.rate
                 chain.prev = (h, res.z_n, res.z_gamma)
-                chain.fsal = (res.z_next, h) if part is None else None
+                chain.fsal = (res.z_next, h) if frozen is None else None
                 return res, h, eta, refine, rejections, jacobian
             if not fresh:
                 jacobian = carry
@@ -315,13 +312,13 @@ def _attempt(problem: OdeProblem, t: float, x: np.ndarray, span: float, final: b
 
 def _march(problem: OdeProblem, t: float, x: np.ndarray, targets: Sequence[float],
            chain: _Chain, delta: float, cfg: MultirateConfig, counter: EvalCounter,
-           part: Optional[ActivePartition] = None, frozen=None):
+           part: ActivePartition, frozen=None):
     """Step from (t, x) to each of the increasing ``targets`` in turn with
-    :func:`_attempt` on ``part`` (the full system when None), handing
-    ``chain`` from step to step.  On the full system a step that flags a
-    cohort has it refined by :func:`_refine` and is a :class:`MacroRecord`;
-    a step on a cohort is a :class:`MicroRecord`.  Yields each accepted
-    step's record, the time it landed on and the state there."""
+    :func:`_attempt` on ``part``, handing ``chain`` from step to step.  With no
+    latent context provider ``frozen``, each step is a :class:`MacroRecord`
+    on the full system, which has the cohort it flags refined by
+    :func:`_refine`; with one, a :class:`MicroRecord` on a cohort.  Yields each
+    accepted step's record, the time it landed on and the state there."""
     for target in targets:
         while t < target:
             span = target - t
@@ -330,7 +327,7 @@ def _march(problem: OdeProblem, t: float, x: np.ndarray, targets: Sequence[float
                 part, frozen)
             eta_max, iters = float(np.maximum.reduce(eta)), res.newton_iterations
             x_next = res.u_next
-            if part is None:
+            if frozen is None:
                 active0 = np.empty(0, dtype=np.intp) if refine is None else np.flatnonzero(refine)
                 micro: List[MicroRecord] = []
                 if active0.size:
@@ -451,7 +448,7 @@ def integrate(
     times = [float(t0)]
     states = [y0.copy()]
     for record, t, u in _march(problem, times[0], states[0], landings, _Chain(h=cfg.h0),
-                               cfg.controller.delta, cfg, trace):
+                               cfg.controller.delta, cfg, trace, ActivePartition.full(problem.m)):
         trace.records.append(record)
         times.append(t)
         states.append(u.copy())

@@ -12,10 +12,11 @@ side ever has to be written by hand.
 The problem layer has one operation of each kind: :func:`eval_subsystem_rhs`
 for f and :func:`subsystem_jacobian` for ∂f/∂y (analytic when the problem has
 one, forward differences otherwise).  Both take one argument list, (problem,
-t, active state, context, partition, counter), and every call of the
-problem's rhs goes through :func:`eval_subsystem_rhs`, the finite-difference
-columns included.  The full system is the subsystem ``ActivePartition.full(m)``,
-evaluated on the state itself with no context.  :func:`latent_halo`
+t, active state, provider, partition, counter), where the provider maps their
+t to the context; they are its only readers.  Every call of the problem's rhs
+goes through :func:`eval_subsystem_rhs`, the finite-difference columns
+included.  The full system is the subsystem ``ActivePartition.full(m)``,
+evaluated on the state itself, with no provider.  :func:`latent_halo`
 names the latent components that an active subsystem's rows can read, so a
 caller may leave the rest of the frozen context stale.
 
@@ -27,7 +28,6 @@ single integration run (see :class:`EvalCounter`), never by the problem.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -67,9 +67,7 @@ class ActivePartition:
         self.size = int(idx.size)
 
     @classmethod
-    @functools.lru_cache(maxsize=32)
     def full(cls, m: int) -> "ActivePartition":
-        # Shared per m: a partition is immutable and its indices read-only.
         return cls(m, np.arange(m))
 
     @property
@@ -80,13 +78,6 @@ class ActivePartition:
         mask = np.ones(self.m, dtype=bool)
         mask[self.indices] = False
         return ActivePartition(self.m, np.nonzero(mask)[0])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ActivePartition)
-            and self.m == other.m
-            and np.array_equal(self.indices, other.indices)
-        )
 
     def __repr__(self) -> str:
         return f"ActivePartition(m={self.m}, active={self.indices.tolist()})"
@@ -136,36 +127,44 @@ class OdeProblem:
         object.__setattr__(self, "bandwidth", (kl, ku))
 
 
+def _evaluation_point(t: float, x: np.ndarray, frozen: Optional[Callable[[float], np.ndarray]],
+                      part: ActivePartition) -> np.ndarray:
+    """The length-m state where the subsystem's f and J are read: ``x`` itself
+    on the full partition, with ``frozen`` not called, else the context
+    ``frozen(t)`` with ``x`` written in place at the active indices only."""
+    if part.is_full:
+        return x
+    context = frozen(t)
+    context[part.indices] = x
+    return context
+
+
 def eval_subsystem_rhs(
     p: OdeProblem,
     t: float,
     x: np.ndarray,
-    frozen: Optional[np.ndarray],
+    frozen: Optional[Callable[[float], np.ndarray]],
     part: ActivePartition,
-    counter: EvalCounter | None = None,
+    counter: EvalCounter,
 ) -> np.ndarray:
     """Active-component derivative with the latent components frozen.
 
-    Writes ``x`` in place into the length-m context ``frozen`` at the active
-    indices, leaving its latent entries untouched, evaluates the full
-    right-hand side there and gathers the active rows.  The full system is
-    evaluated on ``x`` itself, with ``frozen`` unused (it may be None), and a
-    copy of the right-hand side's array is returned, so a right-hand side may
-    write every value into one reused buffer.  Costs |active| scalar
-    evaluations and one rhs call on the counter.
+    Writes ``x`` in place into the length-m context ``frozen(t)`` at the
+    active indices, evaluates the full right-hand side there and gathers the
+    active rows.  The full system is evaluated on ``x`` itself, with
+    ``frozen`` unused (it may be None), and a copy of the right-hand side's
+    array is returned, so a right-hand side may write every value into one
+    reused buffer.  Costs |active| scalar evaluations and one rhs call on the
+    counter.
     """
     if len(x) != part.size:
         raise DimensionMismatch(f"substate length {len(x)} != active size {part.size}")
-    full = part.is_full
-    if not full:
-        frozen[part.indices] = x
-    f = np.asarray(p.rhs(t, x if full else frozen), dtype=float)
+    f = np.asarray(p.rhs(t, _evaluation_point(t, x, frozen, part)), dtype=float)
     if f.shape != (p.m,):
         raise DimensionMismatch(f"rhs returned shape {f.shape}, expected ({p.m},)")
-    if counter is not None:
-        counter.scalar_evals += part.size
-        counter.rhs_calls += 1
-    out = f.copy() if full else f[part.indices]
+    counter.scalar_evals += part.size
+    counter.rhs_calls += 1
+    out = f.copy() if part.is_full else f[part.indices]
     if not np.logical_and.reduce(np.isfinite(out)):
         raise NonFiniteOutput(f"subsystem rhs produced non-finite values at t={t}")
     return out
@@ -196,9 +195,9 @@ def subsystem_jacobian(
     p: OdeProblem,
     t: float,
     x: np.ndarray,
-    frozen: Optional[np.ndarray],
+    frozen: Optional[Callable[[float], np.ndarray]],
     part: ActivePartition,
-    counter: EvalCounter | None = None,
+    counter: EvalCounter,
     f0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Active-row/active-column block of the Jacobian of the subsystem at
@@ -218,12 +217,9 @@ def subsystem_jacobian(
     counts one Jacobian evaluation on the counter.
     """
     x = np.asarray(x, dtype=float)
-    if counter is not None:
-        counter.jacobian_evaluations += 1
+    counter.jacobian_evaluations += 1
     if p.jacobian is not None:
-        if not part.is_full:
-            frozen[part.indices] = x
-        jac = np.asarray(p.jacobian(t, x if part.is_full else frozen), dtype=float)
+        jac = np.asarray(p.jacobian(t, _evaluation_point(t, x, frozen, part)), dtype=float)
         if jac.shape != (p.m, p.m):
             raise DimensionMismatch(f"jacobian has shape {jac.shape}, expected ({p.m}, {p.m})")
         if not np.all(np.isfinite(jac)):

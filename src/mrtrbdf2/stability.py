@@ -41,8 +41,6 @@ from .integrator import INTERPOLANT_KINDS
 from .ode_problem import ActivePartition
 from .trbdf2 import GAMMA
 
-NORM_KINDS = ("one", "two", "inf")
-
 # Bytes of one stacked array in a sweep chunk.  A chunk holds about a dozen
 # such arrays at once, so this bounds the sweep's working memory whatever the
 # grid length: 20 grid points at order 40, a 400-point grid whole at order 4.

@@ -33,8 +33,8 @@ Wanner II, §IV.8): with a good start value, the first increment times that
 rate is often below the stop target, so a stage ends after one iteration.
 
 A step is taken on an active subsystem whose latent components are read from
-a callable of the stage time (see :mod:`.ode_problem`); the full system is
-the case where every component is active.
+a provider, a callable of the stage time (see :mod:`.ode_problem`); the full
+system is the case where every component is active.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def _newton_stage(
     h: float,
     cfg: NewtonConfig,
     weights: Optional[np.ndarray],
-    counter: Optional[EvalCounter],
+    counter: EvalCounter,
     rate: float,
 ) -> Tuple[np.ndarray, int, float]:
     """Solve z = h f(t_stage, base + d·z) by modified Newton with the given LU,
@@ -201,11 +201,10 @@ def _newton_stage(
     prev_wnorm = 0.0
     growth = 0
     for it in range(1, cfg.max_iterations + 1):
-        if counter is not None:
-            counter.newton_iterations += 1
+        counter.newton_iterations += 1
         r = h * f_sub(t_stage, base + D_STAGE * z) - z
         a = np.abs(r)
-        rnorm = float(a[a.argmax()]) if a.size else 0.0
+        rnorm = float(a[a.argmax()])
         if not math.isfinite(rnorm):
             raise NewtonDivergence(f"non-finite Newton residual at t={t_stage}")
         if rnorm > prev_res:
@@ -220,7 +219,7 @@ def _newton_stage(
         delta = lu_solve(lu, r)
         z = z + delta
         a = np.abs(delta)
-        dnorm = float(a[a.argmax()]) if a.size else 0.0
+        dnorm = float(a[a.argmax()])
         if dnorm <= cfg.tolerance:
             return z, it, rate
         if weights is not None:
@@ -240,26 +239,26 @@ def step(
     t: float,
     u: np.ndarray,
     h: float,
-    part: Optional[ActivePartition] = None,
+    part: ActivePartition,
     frozen: Optional[Callable[[float], np.ndarray]] = None,
     *,
     z_in: np.ndarray,
     lu: LuFactorization,
-    cfg: Optional[NewtonConfig] = None,
-    counter: Optional[EvalCounter] = None,
+    cfg: NewtonConfig,
+    counter: EvalCounter,
     tolerances: Optional[ToleranceSpec] = None,
     prev: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
     rate: float = 1.0,
 ) -> StepResult:
     """Advance the (sub)system one TR-BDF2 step of size h from (t, u).
 
-    ``u`` holds the active components when ``part`` names a proper subsystem;
-    ``frozen`` then maps a stage time to the length-m context carrying the
-    latent values (so latent components reconstructed by interpolation are
-    sampled at each stage time instead of being held fixed across the step,
-    which would degrade the step to first order).  Every rhs call writes the
-    active state into that context in place; its latent entries are only
-    read.  ``frozen=None`` is the full system, evaluated on the state itself.
+    ``u`` holds the components ``part`` names.  On a proper subsystem
+    ``frozen`` maps a stage time to the length-m context carrying the latent
+    values (so latent components reconstructed by interpolation are sampled
+    at each stage time instead of being held fixed across the step, which
+    would degrade the step to first order), and goes unchanged to
+    :func:`~.ode_problem.eval_subsystem_rhs`.  On the full partition it is
+    never called, and may be None.
     ``z_in`` is the already-scaled first-stage derivative h·f(t, u): the FSAL
     hand-off from a previous step, or h times f at the step start.
 
@@ -279,26 +278,16 @@ def step(
     :class:`NonFiniteOutput` or :class:`SingularMatrix`; the caller is
     expected to retry with a fresh Jacobian or a smaller h.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     u = np.asarray(u, dtype=float)
-    if part is None:
-        part = ActivePartition.full(problem.m)
-    if part.is_full:
-        frozen = None
-    elif frozen is None:
+    if frozen is None and not part.is_full:
         raise DimensionMismatch("a proper subsystem step needs the frozen full-state context")
     if u.shape[0] != part.size:
         raise DimensionMismatch(f"state length {u.shape[0]} != active size {part.size}")
 
-    if frozen is None:
-        def f_sub(ts: float, x: np.ndarray) -> np.ndarray:
-            return eval_subsystem_rhs(problem, ts, x, None, part, counter)
-    else:
-        def f_sub(ts: float, x: np.ndarray) -> np.ndarray:
-            return eval_subsystem_rhs(problem, ts, x, frozen(ts), part, counter)
+    def f_sub(ts: float, x: np.ndarray) -> np.ndarray:
+        return eval_subsystem_rhs(problem, ts, x, frozen, part, counter)
 
     z_n = np.asarray(z_in, dtype=float)
     if z_n.shape != u.shape:
@@ -339,7 +328,7 @@ def step(
     u_next = base2 + D_STAGE * z_next
 
     eps_raw = raw_error_estimate(z_n, z_gamma, z_next)
-    eps_mod = lu_solve(lu, eps_raw) if eps_raw.size else eps_raw.copy()
+    eps_mod = lu_solve(lu, eps_raw)
     return StepResult(
         u_gamma=u_gamma,
         u_next=u_next,

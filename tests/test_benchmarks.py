@@ -15,14 +15,14 @@ from mrtrbdf2.benchmarks import (
 )
 from mrtrbdf2.errors import MissingSpatialMetadata
 from mrtrbdf2.integrator import integrate, integrate_single_rate
-from mrtrbdf2.ode_problem import ActivePartition, OdeProblem, subsystem_jacobian
+from mrtrbdf2.ode_problem import ActivePartition, EvalCounter, OdeProblem, subsystem_jacobian
 from mrtrbdf2.reference import integrate_dop853, integrate_radau
 
 
 def dense_jacobian(problem, t, y):
     """The m×m Jacobian: analytic if the problem has one, else forward differences."""
     return subsystem_jacobian(replace(problem, bandwidth=None), t, y, None,
-                              ActivePartition.full(problem.m))
+                              ActivePartition.full(problem.m), EvalCounter())
 
 
 def test_gate_function_clamps():

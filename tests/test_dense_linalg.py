@@ -56,6 +56,9 @@ def test_lu_singular_detection():
 def test_lu_dimension_checks():
     with pytest.raises(DimensionMismatch):
         lu_factor(np.ones((2, 3)))
+    # order 0 is no matrix, so no step ever solves an empty vector
+    with pytest.raises(DimensionMismatch):
+        lu_factor(np.zeros((0, 0)))
     # dense, tridiagonal (n >= 3) and general band factorizations check the
     # rhs shape alike: a vector or columns of length n, with no stack
     n = 5

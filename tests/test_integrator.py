@@ -110,14 +110,15 @@ def test_latent_components_keep_tentative_values():
 @contextmanager
 def stepped_components():
     """Log (t, h, stepped components, or None for a full step) of every
-    ``trbdf2.step`` call that returns, in call order."""
+    ``trbdf2.step`` call that returns, in call order.  A full step is one
+    without a latent context provider."""
     steps = []
     original = trbdf2.step
 
     def logged(*args, **kwargs):
         res = original(*args, **kwargs)
-        part = kwargs.get("part")
-        steps.append((args[1], args[3], None if part is None else part.indices.tolist()))
+        full = kwargs.get("frozen") is None
+        steps.append((args[1], args[3], None if full else kwargs["part"].indices.tolist()))
         return res
 
     with mock.patch.object(trbdf2, "step", logged):

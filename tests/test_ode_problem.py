@@ -23,11 +23,12 @@ def linear_problem_no_jac(a):
 
 # The full system is the subsystem with every component active.
 def eval_full_rhs(p, t, y, counter=None):
-    return eval_subsystem_rhs(p, t, y, y, ActivePartition.full(p.m), counter)
+    counter = EvalCounter() if counter is None else counter
+    return eval_subsystem_rhs(p, t, y, None, ActivePartition.full(p.m), counter)
 
 
 def full_jacobian(p, t, y):
-    return subsystem_jacobian(p, t, y, None, ActivePartition.full(p.m))
+    return subsystem_jacobian(p, t, y, None, ActivePartition.full(p.m), EvalCounter())
 
 
 def test_eval_rhs_linear():
@@ -67,7 +68,8 @@ def test_jacobian_analytic_checked():
         full_jacobian(wrong_shape, 0.0, np.ones(2))
     non_finite = OdeProblem(m=2, rhs=lambda t, y: y, jacobian=lambda t, y: np.full((2, 2), np.nan))
     with pytest.raises(NonFiniteOutput):
-        subsystem_jacobian(non_finite, 0.0, np.ones(1), np.ones(2), ActivePartition(2, [1]))
+        subsystem_jacobian(non_finite, 0.0, np.ones(1), lambda t: np.ones(2),
+                           ActivePartition(2, [1]), EvalCounter())
 
 
 def test_jacobian_fd_linear():
@@ -137,7 +139,7 @@ def test_subsystem_call_writes_only_the_active_entries_of_its_context():
     x = np.array([7.0, 9.0])
     context = np.array([-0.0, 1.0, np.nan, 3.0])
     before = context.copy()
-    got = eval_subsystem_rhs(p, 0.0, x, context, part)
+    got = eval_subsystem_rhs(p, 0.0, x, lambda t: context, part, EvalCounter())
     assert np.array_equal(seen[-1], [7.0, 1.0, 9.0, 3.0])
     assert np.array_equal(got, -x)
     # x lands at the active entries; every other entry keeps its bytes
@@ -145,10 +147,10 @@ def test_subsystem_call_writes_only_the_active_entries_of_its_context():
     latent = part.complement().indices
     assert context[latent].tobytes() == before[latent].tobytes()
     with pytest.raises(DimensionMismatch):
-        eval_subsystem_rhs(p, 0.0, np.ones(3), context, part)
+        eval_subsystem_rhs(p, 0.0, np.ones(3), lambda t: context, part, EvalCounter())
     # the full system is evaluated on the state itself: the context is not touched
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    eval_subsystem_rhs(p, 0.0, y, context, ActivePartition.full(4))
+    eval_subsystem_rhs(p, 0.0, y, lambda t: context, ActivePartition.full(4), EvalCounter())
     assert seen[-1].tobytes() == y.tobytes()
     assert context.tobytes() == np.array([7.0, 1.0, 9.0, 3.0]).tobytes()
 
@@ -158,13 +160,15 @@ def test_subsystem_full_matches_eval_rhs():
     p = linear_problem(a)
     y = np.array([0.3, -0.7])
     full = ActivePartition.full(2)
-    # the frozen context is overwritten everywhere on the full partition
-    assert np.array_equal(eval_subsystem_rhs(p, 0.0, y, np.zeros(2), full), p.rhs(0.0, y))
+    # the state is evaluated as it is on the full partition, whatever the context
+    assert np.array_equal(eval_subsystem_rhs(p, 0.0, y, lambda t: np.zeros(2), full, EvalCounter()),
+                          p.rhs(0.0, y))
 
 
 def test_subsystem_empty():
     p = linear_problem(np.eye(3))
-    out = eval_subsystem_rhs(p, 0.0, np.empty(0), np.ones(3), ActivePartition(3, []))
+    out = eval_subsystem_rhs(p, 0.0, np.empty(0), lambda t: np.ones(3), ActivePartition(3, []),
+                             EvalCounter())
     assert out.size == 0
 
 
@@ -174,7 +178,7 @@ def test_subsystem_matches_hand_reduction():
     part = ActivePartition(3, [0, 2])
     frozen = np.array([0.0, 10.0, 0.0])
     x = np.array([2.0, -1.0])
-    got = eval_subsystem_rhs(p, 0.0, x, frozen, part)
+    got = eval_subsystem_rhs(p, 0.0, x, lambda t: frozen, part, EvalCounter())
     # hand-reduced 2x2 subsystem: rows {0,2}, latent y1 frozen at 10
     reduced = a[np.ix_([0, 2], [0, 2])] @ x + a[np.ix_([0, 2], [1])].ravel() * 10.0
     assert np.allclose(got, reduced, rtol=0, atol=1e-14)
@@ -184,16 +188,55 @@ def test_subsystem_counts_active_evals():
     p = linear_problem(np.eye(4))
     c = EvalCounter()
     part = ActivePartition(4, [1, 2])
-    eval_subsystem_rhs(p, 0.0, np.zeros(2), np.zeros(4), part, c)
+    eval_subsystem_rhs(p, 0.0, np.zeros(2), lambda t: np.zeros(4), part, c)
     assert c.scalar_evals == 2
+
+
+def logging_provider(context):
+    """A latent context provider that always returns ``context`` and logs
+    every time it is asked for."""
+    asked = []
+
+    def frozen(t):
+        asked.append(t)
+        return context
+
+    return frozen, asked
+
+
+def unread_provider(t):
+    raise AssertionError("the full partition read its latent context provider")
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_subsystem_calls_ask_their_provider_only_at_their_own_time(analytic):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4))
+    p = linear_problem(a) if analytic else linear_problem_no_jac(a)
+    part = ActivePartition(4, [0, 2])
+    y = rng.normal(size=4)
+    frozen, asked = logging_provider(y.copy())
+    eval_subsystem_rhs(p, 0.25, y[part.indices], frozen, part, EvalCounter())
+    assert asked == [0.25]
+    asked.clear()
+    subsystem_jacobian(p, 0.5, y[part.indices], frozen, part, EvalCounter())
+    # once for the analytic J, once per f evaluation for finite differences
+    assert asked == [0.5] * (1 if analytic else 1 + part.size)
+    # the full partition is evaluated on the state itself
+    full = ActivePartition.full(4)
+    f = eval_subsystem_rhs(p, 0.25, y, unread_provider, full, EvalCounter())
+    assert np.array_equal(f, a @ y)
+    jac = subsystem_jacobian(p, 0.5, y, unread_provider, full, EvalCounter())
+    assert np.max(np.abs(jac - a)) <= (0.0 if analytic else 1e-6)
 
 
 def test_subsystem_jacobian_full_and_diag():
     a = np.diag([2.0, 3.0, 4.0])
     p = linear_problem(a)
-    full = subsystem_jacobian(p, 0.0, np.ones(3), None, ActivePartition.full(3))
+    full = subsystem_jacobian(p, 0.0, np.ones(3), None, ActivePartition.full(3), EvalCounter())
     assert np.array_equal(full, a)
-    single = subsystem_jacobian(p, 0.0, np.ones(1), np.ones(3), ActivePartition(3, [1]))
+    single = subsystem_jacobian(p, 0.0, np.ones(1), lambda t: np.ones(3), ActivePartition(3, [1]),
+                                EvalCounter())
     assert single.shape == (1, 1) and single[0, 0] == 3.0
 
 
@@ -203,7 +246,7 @@ def test_subsystem_jacobian_corner():
     p = linear_problem(a)
     part = ActivePartition(4, [0, 3])
     y = rng.normal(size=4)
-    got = subsystem_jacobian(p, 0.0, y[part.indices], y, part)
+    got = subsystem_jacobian(p, 0.0, y[part.indices], lambda t: y, part, EvalCounter())
     assert np.allclose(got, a[np.ix_([0, 3], [0, 3])], rtol=0, atol=1e-13)
 
 
@@ -213,7 +256,7 @@ def test_subsystem_jacobian_fd_matches_block():
     p = linear_problem_no_jac(a)
     part = ActivePartition(5, [1, 2, 4])
     y = rng.normal(size=5)
-    got = subsystem_jacobian(p, 0.0, y[part.indices], y, part)
+    got = subsystem_jacobian(p, 0.0, y[part.indices], lambda t: y, part, EvalCounter())
     assert np.max(np.abs(got - a[np.ix_([1, 2, 4], [1, 2, 4])])) <= 1e-6
 
 
@@ -244,7 +287,7 @@ def test_subsystem_jacobian_band_block_matches_dense_block(kl, ku):
     subsets += [sorted(rng.choice(m, size=k, replace=False)) for k in (1, 2, 5, 9) for _ in range(3)]
     for idx in subsets:
         y = rng.normal(size=m)
-        ab = subsystem_jacobian(p, 0.0, y[idx], y, ActivePartition(m, idx))
+        ab = subsystem_jacobian(p, 0.0, y[idx], lambda t: y, ActivePartition(m, idx), EvalCounter())
         n = len(idx)
         assert ab.shape == (kl + ku + 1, n)
         assert np.array_equal(from_band(ab, kl, ku), a[np.ix_(idx, idx)])
@@ -257,7 +300,7 @@ def test_subsystem_jacobian_band_block_from_finite_differences():
     a, p = banded_problem(rng, 7, 1, 1, analytic=False)
     for idx in ([], [0, 1, 2, 3, 4, 5, 6], [1, 2, 5]):
         y = rng.normal(size=7)
-        ab = subsystem_jacobian(p, 0.0, y[idx], y, ActivePartition(7, idx))
+        ab = subsystem_jacobian(p, 0.0, y[idx], lambda t: y, ActivePartition(7, idx), EvalCounter())
         assert ab.shape == (3, len(idx))
         assert np.max(np.abs(from_band(ab, 1, 1) - a[np.ix_(idx, idx)]), initial=0.0) <= 1e-6
 

@@ -7,7 +7,8 @@ import pytest
 from mrtrbdf2 import trbdf2
 from mrtrbdf2.controller import ToleranceSpec
 from mrtrbdf2.errors import DimensionMismatch, NewtonDivergence, PoleEncountered
-from mrtrbdf2.ode_problem import ActivePartition, EvalCounter, OdeProblem, subsystem_jacobian
+from mrtrbdf2.ode_problem import (ActivePartition, EvalCounter, OdeProblem, eval_subsystem_rhs,
+                                  subsystem_jacobian)
 from mrtrbdf2.trbdf2 import (
     D_STAGE,
     EMBEDDED_WEIGHTS,
@@ -281,7 +282,8 @@ def test_rate_stop_stays_within_kappa_of_a_tight_solve():
     # and 2.5κ off.
     h = 0.02
     full = ActivePartition.full(p.m)
-    rough_lu = newton_matrix(2.0 * subsystem_jacobian(p, 0.0, y, None, full), h, p.bandwidth)
+    rough_lu = newton_matrix(2.0 * subsystem_jacobian(p, 0.0, y, None, full, EvalCounter()), h,
+                             p.bandwidth)
     rough = lone_step(p, 0.0, y, h, tolerances=tol, lu=rough_lu)
     stages = ((GAMMA * h, y + D_STAGE * rough.z_n, rough.z_gamma),
               (h, y + W_STAGE * (rough.z_n + rough.z_gamma), rough.z_next))
@@ -309,7 +311,8 @@ def test_given_factorization_is_used_and_no_jacobian_is_evaluated(monkeypatch):
     y = np.sin(np.pi * np.arange(1, 9) / 9.0)
     h = 0.01
     # banded problem: J comes in band storage
-    jac = subsystem_jacobian(p, 0.0, y, None, ActivePartition.full(p.m))
+    full = ActivePartition.full(p.m)
+    jac = subsystem_jacobian(p, 0.0, y, None, full, EvalCounter())
     assert jac.shape == (3, 8)
     z_n, lu = h * p.rhs(0.0, y), newton_matrix(jac, h, p.bandwidth)
     short_lu = newton_matrix(jac[:, :4], h, p.bandwidth)
@@ -319,17 +322,41 @@ def test_given_factorization_is_used_and_no_jacobian_is_evaluated(monkeypatch):
         raise AssertionError("the step factored a matrix")
 
     monkeypatch.setattr(trbdf2, "lu_factor", no_factoring)
-    counter = EvalCounter()
-    res = step(p, 0.0, y, h, z_in=z_n, lu=lu, counter=counter)
+    counter, cfg = EvalCounter(), NewtonConfig()
+    res = step(p, 0.0, y, h, full, z_in=z_n, lu=lu, cfg=cfg, counter=counter)
     assert counter.rhs_calls == counter.newton_iterations == sum(res.newton_iterations)
     assert counter.jacobian_evaluations == 0
     assert res.u_next.tobytes() == prepared.u_next.tobytes()
     with pytest.raises(TypeError):
-        step(p, 0.0, y, h, lu=lu)
+        step(p, 0.0, y, h, full, lu=lu, cfg=cfg, counter=counter)
     with pytest.raises(TypeError):
-        step(p, 0.0, y, h, z_in=z_n)
+        step(p, 0.0, y, h, full, z_in=z_n, cfg=cfg, counter=counter)
     with pytest.raises(DimensionMismatch):
-        step(p, 0.0, y, h, z_in=z_n, lu=short_lu)
+        step(p, 0.0, y, h, full, z_in=z_n, lu=short_lu, cfg=cfg, counter=counter)
+
+
+def test_a_cohort_step_asks_its_provider_only_for_its_stage_times():
+    # given z_n and the LU, the step reads the latent context only through
+    # its Newton iterations' f: once per iteration, at t + γh, then at t + h
+    p = stiff_cubic_chain()
+    y = np.sin(np.pi * np.arange(1, 9) / 9.0)
+    part = ActivePartition(p.m, [2, 3, 4])
+    t, h = 0.3, 0.01
+    x, context = y[part.indices], y.copy()
+    counter = EvalCounter()
+    z_n = h * eval_subsystem_rhs(p, t, x, lambda s: context, part, counter)
+    lu = newton_matrix(subsystem_jacobian(p, t, x, lambda s: context, part, counter), h,
+                       p.bandwidth)
+    asked = []
+
+    def frozen(s):
+        asked.append(s)
+        return context
+
+    res = step(p, t, x, h, part, frozen, z_in=z_n, lu=lu, cfg=NewtonConfig(), counter=counter)
+    it_tr, it_bdf = res.newton_iterations
+    assert it_tr >= 1 and it_bdf >= 1
+    assert asked == [t + GAMMA * h] * it_tr + [t + h] * it_bdf
 
 
 def test_quadratic_predictor_is_exact_on_a_quadratic_forcing():
@@ -390,10 +417,12 @@ def test_without_a_previous_step_the_stages_start_from_z_n_and_the_line():
     y = np.sin(np.pi * np.arange(1, 9) / 9.0)
     h = 0.01
     z_n = h * p.rhs(0.0, y)
-    lu = newton_matrix(subsystem_jacobian(p, 0.0, y, None, ActivePartition.full(p.m)), h,
-                       p.bandwidth)
-    res = step(p, 0.0, y, h, z_in=z_n, lu=lu, prev=None, rate=1.0)
-    assert res.u_next.tobytes() == step(p, 0.0, y, h, z_in=z_n, lu=lu).u_next.tobytes()
+    full, cfg = ActivePartition.full(p.m), NewtonConfig()
+    lu = newton_matrix(subsystem_jacobian(p, 0.0, y, None, full, EvalCounter()), h, p.bandwidth)
+    res = step(p, 0.0, y, h, full, z_in=z_n, lu=lu, prev=None, rate=1.0, cfg=cfg,
+               counter=EvalCounter())
+    assert res.u_next.tobytes() == step(p, 0.0, y, h, full, z_in=z_n, lu=lu, cfg=cfg,
+                                        counter=EvalCounter()).u_next.tobytes()
     tol = NewtonConfig().tolerance
     base1 = y + D_STAGE * z_n
     z_gamma = plain_newton(p, GAMMA * h, base1, z_n, h, lu, tol)
