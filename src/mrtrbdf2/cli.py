@@ -12,9 +12,11 @@ Three subcommands:
 
 Every CSV file declares its column formats once: ``%.17g`` for numeric
 (float) columns, so each value round-trips exactly, and ``%s`` for counts and
-text.  Rows end in CRLF.  Re-running an identical invocation reproduces every
-artifact bitwise (wall-clock fields in summary.json and compare.csv are
-measurements and exempt from that guarantee).
+text (``compare.csv``'s ``break_even_r``, a float that may be empty, is
+formatted ``%.17g`` before it is written).  Rows end in CRLF.  Re-running an
+identical invocation reproduces every artifact bitwise (wall-clock fields in
+summary.json and compare.csv are measurements and exempt from that
+guarantee).
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ _PRESET_TABLE = {
     "inverter_chain": ("inverter_chain", {"m": "m", "tol_abs": "tol_abs"}, {}),
     "reaction_diffusion": ("reaction_diffusion", _PDE_FLAGS, {}),
     "advection": ("linear_advection", _PDE_FLAGS, {}),
-    "burgers": ("burgers_riemann", _BURGERS_FLAGS, {}),
     "burgers_shock": ("burgers_riemann", _BURGERS_FLAGS, {}),
     "burgers_rarefaction": ("burgers_riemann", _BURGERS_FLAGS, {"u_left": 0.0, "u_right": 1.0}),
 }
@@ -314,10 +315,17 @@ def cmd_compare(args, argv: Sequence[str]) -> int:
             wall = time.perf_counter() - t_start
             err = float(np.max(np.abs(traj.states[-1] - ref)))
             s = trace.summary()
+            macro = s["accepted_macro_steps"] + s["rejected_macro_steps"]
+            micro = s["accepted_micro_steps"] + s["rejected_micro_steps"]
+            if mode == "single":
+                single_attempts, break_even = macro, ""
+            else:  # the largest micro/full attempt cost ratio at which multirate wins
+                break_even = FLOAT % ((single_attempts - macro) / micro) if micro else ""
             rows.append((tol, mode, err, s["workload"], s["scalar_function_evaluations"],
                          s["effective_scalar_evals"], s["accepted_macro_steps"],
                          s["accepted_micro_steps"], s["total_accepted_steps"],
                          s["rejected_macro_steps"] + s["rejected_micro_steps"],
+                         macro, micro, break_even,
                          s["newton_iterations"], s["jacobian_evaluations"],
                          s["stale_jacobian_retries"],
                          *(s["rejection_causes"][c] for c in REJECTION_CAUSES), wall))
@@ -326,10 +334,10 @@ def cmd_compare(args, argv: Sequence[str]) -> int:
     _write_csv(out_dir / "compare.csv",
                ["tolerance", "mode", "error_vs_reference", "workload", "scalar_evals",
                 "effective_scalar_evals", "macro_steps", "micro_steps", "total_steps",
-                "rejected_steps", "newton_iterations", "jacobian_evaluations",
-                "stale_jacobian_retries", *(f"rejected_{c}" for c in REJECTION_CAUSES),
-                "wall_time_s"],
-               [FLOAT, TEXT, FLOAT, *[TEXT] * (10 + len(REJECTION_CAUSES)), FLOAT],
+                "rejected_steps", "macro_attempts", "micro_attempts", "break_even_r",
+                "newton_iterations", "jacobian_evaluations", "stale_jacobian_retries",
+                *(f"rejected_{c}" for c in REJECTION_CAUSES), "wall_time_s"],
+               [FLOAT, TEXT, FLOAT, *[TEXT] * (13 + len(REJECTION_CAUSES)), FLOAT],
                rows)
     print(f"wrote {out_dir / 'compare.csv'} ({len(rows)} rows)")
     return EXIT_OK

@@ -78,7 +78,7 @@ def test_run_writes_artifacts_and_schema(tmp_path):
 
 
 def test_run_deterministic(tmp_path):
-    args = ["run", "--preset", "burgers", "--mode", "multi", "--cells", "40",
+    args = ["run", "--preset", "burgers_shock", "--mode", "multi", "--cells", "40",
             "--ul", "1.0", "--ur", "0.0", "--t-end", "0.1"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out-dir", str(out1)]) == 0
@@ -242,10 +242,14 @@ def test_compare_emits_rows(tmp_path):
     preset = _build_preset(build_parser().parse_args(["run", *flags]))
     base = preset.config.tolerances
     cfg = replace(preset.config, tolerances=ToleranceSpec(base.tau_r * (1e-4 / base.tau_a), 1e-4))
+    attempts = {}
     for mode, driver in (("single", integrate_single_rate), ("multi", integrate)):
         _, trace = driver(preset.problem, preset.t0, preset.t_end, preset.y0, cfg)
         s = trace.summary()
         (row,) = [r for r in rows if r["mode"] == mode and float(r["tolerance"]) == 1e-4]
+        attempts[mode] = (int(row["macro_attempts"]), int(row["micro_attempts"]))
+        assert attempts[mode] == (s["accepted_macro_steps"] + s["rejected_macro_steps"],
+                                  s["accepted_micro_steps"] + s["rejected_micro_steps"])
         assert int(row["scalar_evals"]) == s["scalar_function_evaluations"]
         assert int(row["effective_scalar_evals"]) == s["rhs_calls"] * preset.problem.m
         assert int(row["total_steps"]) == s["total_accepted_steps"]
@@ -256,6 +260,24 @@ def test_compare_emits_rows(tmp_path):
         causes = {c: int(row[f"rejected_{c}"]) for c in REJECTION_CAUSES}
         assert causes == s["rejection_causes"]
         assert sum(causes.values()) == int(row["rejected_steps"])
+    # r* = (N_single − N_macro)/N_micro on multirate rows only
+    (n_single, _), (n_macro, n_micro) = attempts["single"], attempts["multi"]
+    assert n_micro > 0
+    for r in rows:
+        if r["mode"] == "single":
+            assert r["break_even_r"] == ""
+        elif float(r["tolerance"]) == 1e-4:
+            assert r["break_even_r"] == format((n_single - n_macro) / n_micro, ".17g")
+
+
+def test_compare_leaves_break_even_r_empty_without_micro_attempts(tmp_path):
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--preset", "reaction_diffusion", "--cells", "12", "--t-end", "0.05",
+               "--delta", "1", "--tols", "1e-4", "--out-dir", str(out)])
+    assert rc == 0
+    rows = {r["mode"]: r for r in read_csv(out / "compare.csv")}
+    assert rows["multi"]["micro_attempts"] == "0"
+    assert rows["multi"]["break_even_r"] == rows["single"]["break_even_r"] == ""
 
 
 def test_compare_empty_tolerances_exits_2():

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrtrbdf2 import integrator, interpolants, trbdf2
-from mrtrbdf2.benchmarks import inverter_chain, reaction_diffusion
+from mrtrbdf2.benchmarks import burgers_riemann, inverter_chain, reaction_diffusion
 from mrtrbdf2.controller import ControllerConfig, ToleranceSpec
 from mrtrbdf2.errors import (
     NewtonDivergence,
@@ -141,13 +142,17 @@ def test_all_active_refinement_matches_micro_grid_replay():
     # every micro step was stepped on all three components
     assert_windows_tile_with_a_fixed_cohort(IntegrationTrace(m=3, records=[rec]), steps)
     # each micro step's stages are predicted from the micro step before it,
-    # and Newton's contraction rate is carried on from the tentative step's
+    # and Newton's contraction rate is carried on from the tentative step's;
+    # its z_n is the FSAL hand-off rescaled to its h: the tentative step's
+    # first stage h·(A·u0) for the first micro step, then the z_next before it
     x, prev, rate = u0.copy(), None, out.rate
+    z, h_prev = rec.h * (a @ u0), rec.h
     part = ActivePartition.full(3)
     for mic in rec.micro:
-        res = lone_step(p, mic.t_start, x, mic.h, part=part, cfg=cfg.newton,
-                        tolerances=cfg.tolerances, prev=prev, rate=rate)
+        res = lone_step(p, mic.t_start, x, mic.h, part=part, z_in=z * (mic.h / h_prev),
+                        cfg=cfg.newton, tolerances=cfg.tolerances, prev=prev, rate=rate)
         x, prev, rate = res.u_next, (mic.h, res.z_n, res.z_gamma), res.rate
+        z, h_prev = res.z_next, mic.h
     assert np.array_equal(x, out.state)
 
 
@@ -292,12 +297,13 @@ def test_f_is_evaluated_once_per_step_start(monkeypatch):
     assert max(evaluated[k] for k in starts) == 1
 
 
-@pytest.mark.parametrize("run,start_calls", [(integrate_single_rate, 1), (integrate, 2)])
-def test_finite_difference_jacobian_takes_f_at_the_step_start_as_its_base(run, start_calls):
+@pytest.mark.parametrize("run", [integrate_single_rate, integrate])
+def test_finite_difference_jacobian_takes_f_at_the_step_start_as_its_base(run):
     # With no analytic J, the first step's fresh finite-difference J reuses the
     # f(0, y0) that the attempt loop evaluated: one call at (0, y0) for the
-    # macro step, and in multirate one more for the cohort's first micro step,
-    # whose latent context at t = 0 is y0 itself.
+    # macro step.  In multirate the cohort's first micro step starts from the
+    # cohort's rows of the tentative step's first stage and on its carried J,
+    # so it makes no call at (0, y0) of its own.
     a = np.array([[-1.0, 0.5], [0.0, -100.0]])
     y0 = np.array([1.0, 1.0])
     calls = []
@@ -308,7 +314,90 @@ def test_finite_difference_jacobian_takes_f_at_the_step_start_as_its_base(run, s
 
     _, trace = run(OdeProblem(m=2, rhs=rhs), 0.0, 1.0, y0, default_cfg())
     assert trace.rhs_calls == len(calls)
-    assert calls.count((0.0, y0.tobytes())) == start_calls
+    assert calls.count((0.0, y0.tobytes())) == 1
+
+
+def test_micro_steps_start_from_the_first_same_as_last_hand_off(monkeypatch):
+    # With an analytic J, f is evaluated outside trbdf2.step only at the
+    # start of a macro step that holds no FSAL value: the first one, and each
+    # one after a refined window, whose state the window changed.  A micro
+    # step starts from the cohort's rows of the tentative step's first stage,
+    # or from the z_next of the micro step before it.
+    starts = []  # (t, whether the call is on the full system)
+    running = []
+    original_step, original_rhs = trbdf2.step, trbdf2.eval_subsystem_rhs
+
+    def step(*args, **kwargs):
+        running.append(True)
+        try:
+            return original_step(*args, **kwargs)
+        finally:
+            running.pop()
+
+    def eval_subsystem_rhs(problem, t, x, frozen, part, counter):
+        if not running:
+            starts.append((t, frozen is None))
+        return original_rhs(problem, t, x, frozen, part, counter)
+
+    monkeypatch.setattr(trbdf2, "step", step)
+    monkeypatch.setattr(trbdf2, "eval_subsystem_rhs", eval_subsystem_rhs)
+    preset = inverter_chain(m=12)
+    assert preset.problem.jacobian is not None
+    _, trace = integrate(preset.problem, preset.t0, preset.t_end, preset.y0, preset.config)
+    records = trace.records
+    assert trace.accepted_micro > 0
+    assert all(full for _, full in starts)  # no micro step evaluates f at its start
+    assert [t for t, _ in starts] == [records[0].t_start] + [
+        rec.t_start for before, rec in zip(records, records[1:]) if before.micro]
+
+
+@pytest.mark.parametrize("make,slivers_before", [(inverter_chain, 846),
+                                                 (burgers_riemann, 241),
+                                                 (reaction_diffusion, 170)],
+                         ids=["inverter_chain", "burgers_shock", "reaction_diffusion"])
+def test_micro_proposals_split_the_rest_of_the_window_evenly(make, slivers_before, monkeypatch):
+    # Before each micro step a proposal h_prop shorter than the rest of the
+    # window, span, becomes span/⌈span/h_prop − 0.15⌉; a retry is not
+    # evened out.  On the default presets this leaves at most a tenth of the
+    # windows that ended in a sliver (a last micro step under a quarter of
+    # the window's largest) when each proposal was taken as it came.
+    proposals = {}  # id of a window's chain -> its latest proposal
+    first_attempts = []  # (span, proposal, h of the micro step's first attempt)
+    step_hs = []
+    original_march, original_attempt = integrator._march, integrator._attempt
+    original_step = trbdf2.step
+
+    def march(problem, t, x, targets, chain, delta, cfg, counter, part, frozen=None):
+        if frozen is not None:
+            proposals[id(chain)] = chain.h
+        yield from original_march(problem, t, x, targets, chain, delta, cfg, counter, part,
+                                  frozen)
+
+    def attempt(problem, t, x, span, final, delta, chain, cfg, counter, part, frozen=None):
+        calls_before = len(step_hs)
+        out = original_attempt(problem, t, x, span, final, delta, chain, cfg, counter, part,
+                               frozen)
+        if frozen is not None:
+            first_attempts.append((span, proposals[id(chain)], step_hs[calls_before]))
+            proposals[id(chain)] = chain.h
+        return out
+
+    def step(*args, **kwargs):
+        step_hs.append(args[3])
+        return original_step(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "_march", march)
+    monkeypatch.setattr(integrator, "_attempt", attempt)
+    monkeypatch.setattr(trbdf2, "step", step)
+    preset = make()
+    _, trace = integrate(preset.problem, preset.t0, preset.t_end, preset.y0, preset.config)
+    assert len(first_attempts) == trace.accepted_micro
+    assert any(h_prop < span for span, h_prop, _ in first_attempts)
+    for span, h_prop, h in first_attempts:
+        assert h == (span / max(1, math.ceil(span / h_prop - 0.15)) if h_prop < span else span)
+    slivers = sum(1 for rec in trace.records if len(rec.micro) > 1
+                  and rec.micro[-1].h < 0.25 * max(mic.h for mic in rec.micro))
+    assert slivers <= slivers_before // 10
 
 
 @pytest.mark.parametrize("run", [integrate_single_rate, integrate])
